@@ -23,7 +23,7 @@ use crate::detector::{Detector, Verdict};
 use crate::model::StateSpaceParams;
 use ices_coord::{Embedding, PeerSample, StepOutcome};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// An invalid [`SecurityConfig`] field.
@@ -159,6 +159,76 @@ pub enum RoundAction {
     RefreshFilter,
 }
 
+/// The rounds in which one peer was last tested and last rejected
+/// (`0`: never; rounds count from 1).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct PeerRounds {
+    tested: u64,
+    rejected: u64,
+}
+
+/// Per-peer vetting bookkeeping of one [`SecureNode`]: which peers it
+/// has ever tested (the first-time reprieve) and how many distinct
+/// peers the current round tested and rejected (the refresh rule).
+///
+/// One map entry per peer stamped with round numbers, plus two
+/// per-round counters: a step costs one O(log peers) lookup, and
+/// closing a round is O(1) and allocation-free.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct PeerLedger {
+    peers: BTreeMap<usize, PeerRounds>,
+    /// The current round, from 1.
+    round: u64,
+    /// Distinct peers tested in the current round.
+    round_tested: usize,
+    /// Distinct peers rejected in the current round.
+    round_rejected: usize,
+}
+
+impl PeerLedger {
+    fn new() -> Self {
+        Self {
+            peers: BTreeMap::new(),
+            round: 1,
+            round_tested: 0,
+            round_rejected: 0,
+        }
+    }
+
+    /// Record a test of `peer`; returns whether it is the first ever.
+    fn test(&mut self, peer: usize) -> bool {
+        let mut first_time = false;
+        let rounds = self.peers.entry(peer).or_insert_with(|| {
+            first_time = true;
+            PeerRounds::default()
+        });
+        if rounds.tested != self.round {
+            rounds.tested = self.round;
+            self.round_tested += 1;
+        }
+        first_time
+    }
+
+    /// Record a rejection of `peer` (tested earlier in the same step).
+    fn reject(&mut self, peer: usize) {
+        let rounds = self.peers.entry(peer).or_default();
+        if rounds.rejected != self.round {
+            rounds.rejected = self.round;
+            self.round_rejected += 1;
+        }
+    }
+
+    /// Close the round: `(distinct peers tested, distinct peers
+    /// rejected)` in it.
+    fn end_round(&mut self) -> (usize, usize) {
+        let counts = (self.round_tested, self.round_rejected);
+        self.round += 1;
+        self.round_tested = 0;
+        self.round_rejected = 0;
+        counts
+    }
+}
+
 /// An embedding node protected by the detection protocol.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SecureNode<E> {
@@ -167,12 +237,8 @@ pub struct SecureNode<E> {
     config: SecurityConfig,
     /// Surveyor whose parameters currently drive the filter.
     filter_source: usize,
-    /// Peers this node has embedded against at least once.
-    seen_peers: BTreeSet<usize>,
-    /// Distinct peers tested in the current round.
-    round_peers: BTreeSet<usize>,
-    /// Distinct peers rejected in the current round.
-    round_rejections: BTreeSet<usize>,
+    /// Peers tested ever and in the current round.
+    ledger: PeerLedger,
     /// Lifetime counts, for diagnostics.
     accepted: u64,
     reprieved: u64,
@@ -194,9 +260,7 @@ impl<E: Embedding> SecureNode<E> {
             detector: Detector::new(params, config.alpha),
             config,
             filter_source,
-            seen_peers: BTreeSet::new(),
-            round_peers: BTreeSet::new(),
-            round_rejections: BTreeSet::new(),
+            ledger: PeerLedger::new(),
             accepted: 0,
             reprieved: 0,
             rejected: 0,
@@ -247,8 +311,7 @@ impl<E: Embedding> SecureNode<E> {
     pub fn step(&mut self, sample: &PeerSample) -> SecureStep {
         let d = self.inner.probe(sample);
         let verdict = self.detector.evaluate(d);
-        self.round_peers.insert(sample.peer);
-        let first_time = self.seen_peers.insert(sample.peer);
+        let first_time = self.ledger.test(sample.peer);
 
         if !verdict.suspicious {
             self.detector.accept(d);
@@ -274,7 +337,7 @@ impl<E: Embedding> SecureNode<E> {
             }
         }
 
-        self.round_rejections.insert(sample.peer);
+        self.ledger.reject(sample.peer);
         self.rejected += 1;
         SecureStep::Rejected { verdict }
     }
@@ -300,10 +363,7 @@ impl<E: Embedding> SecureNode<E> {
     /// sample-starved (a long run of missing samples has coasted the
     /// filter to its stationary prior).
     pub fn end_round(&mut self) -> RoundAction {
-        let peers = self.round_peers.len();
-        let rejected = self.round_rejections.len();
-        self.round_peers.clear();
-        self.round_rejections.clear();
+        let (peers, rejected) = self.ledger.end_round();
         if self.detector.starved()
             || (peers > 0 && (rejected as f64) >= (peers as f64) * self.config.refresh_fraction)
         {
@@ -392,8 +452,7 @@ fn vet_column<'e, E: Embedding>(
         // audit:allow(PANIC01): evaluate_all's contract gives every active slot a verdict; a None here is a bank bug that must fail loudly
         let verdict = verdicts[i].expect("active slot has a verdict");
         let node = &mut *nodes[i];
-        node.round_peers.insert(sample.peer);
-        let first_time = node.seen_peers.insert(sample.peer);
+        let first_time = node.ledger.test(sample.peer);
         if !verdict.suspicious {
             scratch.accept[i] = true;
             let outcome = node.inner.apply_step(sample);
@@ -417,7 +476,7 @@ fn vet_column<'e, E: Embedding>(
                 continue;
             }
         }
-        node.round_rejections.insert(sample.peer);
+        node.ledger.reject(sample.peer);
         node.rejected += 1;
         sink(i, SecureStep::Rejected { verdict });
     }
@@ -880,6 +939,79 @@ mod tests {
         for (i, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
             assert_eq!(s.detector(), b.detector(), "node {i} detector state");
             assert_eq!(s.counts(), b.counts(), "node {i} counters");
+        }
+    }
+
+    /// The three-set bookkeeping the [`PeerLedger`] replaces: peers
+    /// ever tested, distinct peers tested this round, distinct peers
+    /// rejected this round.
+    #[derive(Default)]
+    struct ReferenceSets {
+        seen: std::collections::BTreeSet<usize>,
+        round_peers: std::collections::BTreeSet<usize>,
+        round_rejections: std::collections::BTreeSet<usize>,
+    }
+
+    impl ReferenceSets {
+        fn test(&mut self, peer: usize) -> bool {
+            self.round_peers.insert(peer);
+            self.seen.insert(peer)
+        }
+
+        fn reject(&mut self, peer: usize) {
+            self.round_rejections.insert(peer);
+        }
+
+        fn end_round(&mut self) -> (usize, usize) {
+            let counts = (self.round_peers.len(), self.round_rejections.len());
+            self.round_peers.clear();
+            self.round_rejections.clear();
+            counts
+        }
+    }
+
+    /// The refresh rule of [`SecureNode::end_round`] over round counts.
+    fn round_action((peers, rejected): (usize, usize)) -> RoundAction {
+        let fraction = SecurityConfig::paper_default().refresh_fraction;
+        if peers > 0 && (rejected as f64) >= (peers as f64) * fraction {
+            RoundAction::RefreshFilter
+        } else {
+            RoundAction::Continue
+        }
+    }
+
+    proptest::proptest! {
+        /// Random sequences of accepted, reprieved and rejected steps
+        /// and round ends over a small peer pool (so peers recur within
+        /// and across rounds): the ledger reports the same first-time
+        /// flags, round counts and round actions as the three sets.
+        #[test]
+        fn ledger_matches_three_set_reference(
+            ops in proptest::collection::vec((0u8..8, 0usize..12), 0..300),
+        ) {
+            let mut ledger = PeerLedger::new();
+            let mut reference = ReferenceSets::default();
+            for (op, peer) in ops {
+                match op {
+                    // Round end.
+                    0 => {
+                        let (counts, expected) = (ledger.end_round(), reference.end_round());
+                        proptest::prop_assert_eq!(counts, expected);
+                        proptest::prop_assert_eq!(round_action(counts), round_action(expected));
+                    }
+                    // Rejected step: tested, then rejected.
+                    1 | 2 => {
+                        proptest::prop_assert_eq!(ledger.test(peer), reference.test(peer));
+                        ledger.reject(peer);
+                        reference.reject(peer);
+                    }
+                    // Accepted or reprieved step: tested only.
+                    _ => proptest::prop_assert_eq!(ledger.test(peer), reference.test(peer)),
+                }
+            }
+            let (counts, expected) = (ledger.end_round(), reference.end_round());
+            proptest::prop_assert_eq!(counts, expected);
+            proptest::prop_assert_eq!(round_action(counts), round_action(expected));
         }
     }
 

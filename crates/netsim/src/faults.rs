@@ -250,12 +250,28 @@ impl FaultPlan {
     /// [`crate::Network::measure_rtt`], and drawn from a dedicated
     /// stream, so fault injection never perturbs measurement noise.
     pub fn probe_fate(&self, seed: u64, a: usize, b: usize, nonce: u64) -> Option<ProbeOutcome> {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        self.link_fate(self.link_key(seed, lo, hi), nonce)
+    }
+
+    /// The link-fault stream key of the pair `lo < hi`, computed once per
+    /// pair so that [`FaultPlan::link_fate`] costs one hash per probe.
+    /// Zero (never read) when the plan has no link faults.
+    pub fn link_key(&self, seed: u64, lo: usize, hi: usize) -> u64 {
+        if self.link.is_empty() {
+            return 0;
+        }
+        let pair_key = derive((lo as u64) << 32 | hi as u64, streams::FALT);
+        derive(derive(seed, streams::FALT), pair_key)
+    }
+
+    /// [`FaultPlan::probe_fate`] of the pair whose
+    /// [`FaultPlan::link_key`] is `link_key`.
+    pub fn link_fate(&self, link_key: u64, nonce: u64) -> Option<ProbeOutcome> {
         if self.link.is_empty() {
             return None;
         }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let pair_key = derive((lo as u64) << 32 | hi as u64, streams::FALT);
-        let u = unit(derive2(derive(seed, streams::FALT), pair_key, nonce));
+        let u = unit(derive(link_key, nonce));
         if u < self.link.loss_probability {
             Some(ProbeOutcome::Lost)
         } else if u < self.link.loss_probability + self.link.timeout_probability {

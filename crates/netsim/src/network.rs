@@ -12,7 +12,7 @@ use crate::kinggen::{KingConfig, Topology};
 use crate::planetlab::PlanetLab;
 use crate::rtt::{RttSource, RttStore, SynthRtt};
 use crate::topology::RttMatrix;
-use ices_stats::rng::{derive, stream_rng2};
+use ices_stats::rng::{derive, stream_rng};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use ices_stats::streams;
@@ -299,12 +299,53 @@ impl Network {
     /// # Panics
     /// Panics if `a == b` or either index is out of range.
     pub fn measure_rtt(&self, a: usize, b: usize, nonce: u64) -> f64 {
+        self.pair(a, b).measure(nonce)
+    }
+
+    /// Set up the probe pair `(a, b)` once — base RTT, noise stream key,
+    /// combined profile and link-fault key — so that repeated probes
+    /// between the two nodes (the median-of-3 exchange, retries) pay
+    /// for the setup once. Every probe API of this type goes through a
+    /// [`ProbePair`].
+    ///
+    /// # Panics
+    /// Panics if `a == b` or either index is out of range.
+    pub fn pair(&self, a: usize, b: usize) -> ProbePair<'_> {
         assert!(a != b, "a node cannot probe itself");
-        let base = self.rtt.base_rtt(a, b);
+        self.pair_with_base(a, b, self.rtt.base_rtt(a, b))
+    }
+
+    /// [`Network::pair`] with a base RTT the caller already holds (a
+    /// simulation driver that keeps each neighbor's base RTT beside its
+    /// id skips the O(n²) store read). `base` must be exactly
+    /// [`Network::base_rtt`]`(a, b)`; debug builds check it.
+    ///
+    /// # Panics
+    /// Panics if `a == b` or either index is out of range.
+    pub fn pair_with_base(&self, a: usize, b: usize, base: f64) -> ProbePair<'_> {
+        assert!(a != b, "a node cannot probe itself");
+        debug_assert_eq!(
+            base.to_bits(),
+            self.rtt.base_rtt(a, b).to_bits(),
+            "cached base RTT of ({a}, {b}) is stale"
+        );
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let pair_key = derive((lo as u64) << 32 | hi as u64, streams::PROB); // "PROB"
-        let mut rng = stream_rng2(self.seed, pair_key, nonce);
-        self.noise.measure(base, self.combined_profile(a, b), &mut rng)
+        ProbePair {
+            network: self,
+            base,
+            noise_key: derive(self.seed, pair_key),
+            profile: self.combined_profile(a, b),
+            link_key: self.faults.link_key(self.seed, lo, hi),
+        }
+    }
+
+    /// Fill `up` with every node's liveness at simulation tick `tick` — one
+    /// churn draw per node, so a tick's probes test liveness by index
+    /// instead of re-hashing both endpoints per probe.
+    pub fn fill_up_mask(&self, tick: u64, up: &mut Vec<bool>) {
+        up.clear();
+        up.extend((0..self.len()).map(|node| self.node_up(node, tick)));
     }
 
     /// The combined noise profile of a probe between `a` and `b`, from
@@ -331,13 +372,7 @@ impl Network {
     /// [`Network::measure_rtt`]; consumes nonces `3·nonce .. 3·nonce+3`
     /// of the pair's probe stream.
     pub fn measure_rtt_smoothed(&self, a: usize, b: usize, nonce: u64) -> f64 {
-        let mut probes = [
-            self.measure_rtt(a, b, nonce.wrapping_mul(3)),
-            self.measure_rtt(a, b, nonce.wrapping_mul(3).wrapping_add(1)),
-            self.measure_rtt(a, b, nonce.wrapping_mul(3).wrapping_add(2)),
-        ];
-        probes.sort_by(f64::total_cmp);
-        probes[1] // audit:allow(PANIC02): median of a fixed-size [f64; 3] array
+        self.pair(a, b).smoothed(nonce)
     }
 
     /// Fallible variant of [`Network::measure_rtt`]: the probe is gated
@@ -354,15 +389,13 @@ impl Network {
     /// # Panics
     /// Panics if `a == b` or either index is out of range.
     pub fn try_measure_rtt(&self, a: usize, b: usize, nonce: u64, tick: u64) -> ProbeOutcome {
-        if self.faults.is_empty() {
-            return ProbeOutcome::Ok(self.measure_rtt(a, b, nonce));
-        }
-        if !self.node_up(a, tick) || !self.node_up(b, tick) {
+        let pair = self.pair(a, b);
+        if !self.endpoints_up(a, b, tick) {
             return ProbeOutcome::TimedOut;
         }
-        match self.faults.probe_fate(self.seed, a, b, nonce) {
+        match pair.link_fate(nonce) {
             Some(failure) => failure,
-            None => ProbeOutcome::Ok(self.measure_rtt(a, b, nonce)),
+            None => ProbeOutcome::Ok(pair.measure(nonce)),
         }
     }
 
@@ -381,16 +414,79 @@ impl Network {
         nonce: u64,
         tick: u64,
     ) -> ProbeOutcome {
-        if self.faults.is_empty() {
-            return ProbeOutcome::Ok(self.measure_rtt_smoothed(a, b, nonce));
-        }
-        if !self.node_up(a, tick) || !self.node_up(b, tick) {
+        let pair = self.pair(a, b);
+        if !self.endpoints_up(a, b, tick) {
             return ProbeOutcome::TimedOut;
         }
-        match self.faults.probe_fate(self.seed, a, b, nonce) {
+        pair.try_smoothed(nonce)
+    }
+
+    /// Whether both endpoints are up at `tick` (always, on an empty plan).
+    fn endpoints_up(&self, a: usize, b: usize, tick: u64) -> bool {
+        self.faults.is_empty() || (self.node_up(a, tick) && self.node_up(b, tick))
+    }
+}
+
+/// One probe pair of a [`Network`], set up once by [`Network::pair`]:
+/// every measurement between the two nodes — single, smoothed, gated
+/// or not — is drawn from here, bit-identical to the per-call APIs.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbePair<'n> {
+    network: &'n Network,
+    base: f64,
+    /// `derive(seed, pair_key)`: the pair's measurement-noise stream.
+    noise_key: u64,
+    profile: &'n NoiseProfile,
+    /// The pair's link-fault stream (see [`FaultPlan::link_key`]).
+    link_key: u64,
+}
+
+impl ProbePair<'_> {
+    /// One probe at `nonce` ([`Network::measure_rtt`]).
+    pub fn measure(&self, nonce: u64) -> f64 {
+        let mut rng = stream_rng(self.noise_key, nonce);
+        self.network.noise.measure(self.base, self.profile, &mut rng)
+    }
+
+    /// The median of three probes at nonces `3·nonce .. 3·nonce+3`
+    /// ([`Network::measure_rtt_smoothed`]).
+    pub fn smoothed(&self, nonce: u64) -> f64 {
+        let first = nonce.wrapping_mul(3);
+        median3(
+            self.measure(first),
+            self.measure(first.wrapping_add(1)),
+            self.measure(first.wrapping_add(2)),
+        )
+    }
+
+    /// The link-fault gate alone: `None` when the logical probe at
+    /// `nonce` gets through, else its failure. Endpoint liveness is the
+    /// caller's to check (see [`Network::fill_up_mask`]).
+    pub fn link_fate(&self, nonce: u64) -> Option<ProbeOutcome> {
+        self.network.faults.link_fate(self.link_key, nonce)
+    }
+
+    /// A smoothed probe through the link-fault gate (endpoint liveness
+    /// is the caller's): [`Network::try_measure_rtt_smoothed`] between
+    /// two live nodes.
+    pub fn try_smoothed(&self, nonce: u64) -> ProbeOutcome {
+        match self.link_fate(nonce) {
             Some(failure) => failure,
-            None => ProbeOutcome::Ok(self.measure_rtt_smoothed(a, b, nonce)),
+            None => ProbeOutcome::Ok(self.smoothed(nonce)),
         }
+    }
+}
+
+/// The median of three values under [`f64::total_cmp`] — the middle
+/// element of the three sorted, bit for bit.
+fn median3(a: f64, b: f64, c: f64) -> f64 {
+    let (lo, hi) = if a.total_cmp(&b).is_le() { (a, b) } else { (b, a) };
+    if c.total_cmp(&hi).is_ge() {
+        hi
+    } else if c.total_cmp(&lo).is_le() {
+        lo
+    } else {
+        c
     }
 }
 
@@ -510,6 +606,172 @@ mod tests {
             smoothed.variance(),
             raw.variance()
         );
+    }
+
+    /// Test-local reference for one probe, from the primitives alone:
+    /// the pair's `PROB` stream keyed by `(seed, pair, nonce)` and the
+    /// directly combined endpoint profiles.
+    fn reference_probe(net: &Network, a: usize, b: usize, nonce: u64) -> f64 {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let pair_key = derive((lo as u64) << 32 | hi as u64, streams::PROB);
+        let mut rng = ices_stats::rng::stream_rng2(net.seed, pair_key, nonce);
+        let profile = net.profiles[a].combine(&net.profiles[b]);
+        net.noise.measure(net.base_rtt(a, b), &profile, &mut rng)
+    }
+
+    /// Test-local reference for the smoothed probe: three reference
+    /// probes, sorted, the middle one taken.
+    fn reference_smoothed(net: &Network, a: usize, b: usize, nonce: u64) -> f64 {
+        let first = nonce.wrapping_mul(3);
+        let mut probes = [
+            reference_probe(net, a, b, first),
+            reference_probe(net, a, b, first.wrapping_add(1)),
+            reference_probe(net, a, b, first.wrapping_add(2)),
+        ];
+        probes.sort_by(f64::total_cmp);
+        probes[1]
+    }
+
+    /// Test-local reference for the faulty smoothed probe: a down
+    /// endpoint times out, then one `FALT` draw keyed by `(seed, pair,
+    /// nonce)` decides loss or timeout.
+    fn reference_try_smoothed(
+        net: &Network,
+        a: usize,
+        b: usize,
+        nonce: u64,
+        tick: u64,
+    ) -> ProbeOutcome {
+        if !net.node_up(a, tick) || !net.node_up(b, tick) {
+            return ProbeOutcome::TimedOut;
+        }
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let pair_key = derive((lo as u64) << 32 | hi as u64, streams::FALT);
+        let h = ices_stats::rng::derive2(derive(net.seed, streams::FALT), pair_key, nonce);
+        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let link = net.fault_plan().link;
+        if u < link.loss_probability {
+            ProbeOutcome::Lost
+        } else if u < link.loss_probability + link.timeout_probability {
+            ProbeOutcome::TimedOut
+        } else {
+            ProbeOutcome::Ok(reference_smoothed(net, a, b, nonce))
+        }
+    }
+
+    /// A PlanetLab network whose pathological hosts spike on most
+    /// probes, so the median-of-3 sees heavy-tailed outliers.
+    fn spiky_planetlab(n: usize, seed: u64) -> Network {
+        let pl = PlanetLabConfig::small(n).generate(seed);
+        assert!(!pl.pathological.is_empty(), "need pathological hosts");
+        let mut noise = pl.noise;
+        noise.spike_probability = 0.05;
+        Network::new(pl.topology.matrix, pl.profiles, noise, seed)
+    }
+
+    /// Deterministic spread of `(a, b, nonce)` triples over `n` nodes.
+    fn probe_cases(n: usize, count: u64) -> impl Iterator<Item = (usize, usize, u64)> {
+        (0..count).filter_map(move |k| {
+            let h = derive(k, 0x7E57);
+            let a = (h % n as u64) as usize;
+            let b = ((h >> 20) % n as u64) as usize;
+            (a != b).then_some((a, b, h >> 40))
+        })
+    }
+
+    #[test]
+    fn probe_path_matches_reference_bitwise() {
+        for net in [network(), spiky_planetlab(60, 5)] {
+            for (a, b, nonce) in probe_cases(net.len(), 3000) {
+                assert_eq!(
+                    net.measure_rtt(a, b, nonce).to_bits(),
+                    reference_probe(&net, a, b, nonce).to_bits(),
+                    "single probe ({a}, {b}, {nonce})"
+                );
+                let expected = reference_smoothed(&net, a, b, nonce).to_bits();
+                assert_eq!(net.measure_rtt_smoothed(a, b, nonce).to_bits(), expected);
+                let base = net.base_rtt(a, b);
+                assert_eq!(net.pair_with_base(a, b, base).smoothed(nonce).to_bits(), expected);
+                assert_eq!(
+                    net.try_measure_rtt_smoothed(a, b, nonce, 0).ok().map(f64::to_bits),
+                    Some(expected)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn faulty_probe_path_matches_reference_bitwise() {
+        use crate::faults::{ChurnModel, FaultPlan};
+        let plan = FaultPlan::lossy(0.1, 0.025)
+            .with_churn(ChurnModel::new(16, 0.05))
+            .with_node_churn(3, ChurnModel::new(8, 0.5));
+        let (mut ok, mut lost, mut timed_out) = (0, 0, 0);
+        for mut net in [network(), spiky_planetlab(60, 5)] {
+            net.set_fault_plan(plan.clone());
+            let mut up = Vec::new();
+            for (a, b, nonce) in probe_cases(net.len(), 3000) {
+                let tick = nonce % 97;
+                let expected = reference_try_smoothed(&net, a, b, nonce, tick);
+                assert_eq!(net.try_measure_rtt_smoothed(a, b, nonce, tick), expected);
+                match expected {
+                    ProbeOutcome::Ok(_) => ok += 1,
+                    ProbeOutcome::Lost => lost += 1,
+                    ProbeOutcome::TimedOut => timed_out += 1,
+                }
+                // The simulation drivers' shape: liveness from the tick's mask, then
+                // the link gate alone on a pair set up once.
+                net.fill_up_mask(tick, &mut up);
+                let driven = if up[a] && up[b] {
+                    net.pair_with_base(a, b, net.base_rtt(a, b)).try_smoothed(nonce)
+                } else {
+                    ProbeOutcome::TimedOut
+                };
+                assert_eq!(driven, expected, "mask + link gate ({a}, {b}, {nonce}, {tick})");
+                // The single-probe gate draws the same fate.
+                let single = net.try_measure_rtt(a, b, nonce, tick);
+                match expected {
+                    ProbeOutcome::Ok(_) => assert_eq!(
+                        single.ok().map(f64::to_bits),
+                        Some(reference_probe(&net, a, b, nonce).to_bits())
+                    ),
+                    failure => assert_eq!(single, failure),
+                }
+            }
+        }
+        assert!(
+            ok > 1000 && lost > 100 && timed_out > 100,
+            "{ok} ok, {lost} lost, {timed_out} timed out"
+        );
+    }
+
+    #[test]
+    fn up_mask_matches_node_up() {
+        use crate::faults::{ChurnModel, FaultPlan};
+        let mut net = network();
+        net.set_fault_plan(FaultPlan::none().with_churn(ChurnModel::new(4, 0.3)));
+        let mut up = Vec::new();
+        for tick in 0..40 {
+            net.fill_up_mask(tick, &mut up);
+            assert_eq!(up.len(), net.len());
+            for (node, &is_up) in up.iter().enumerate() {
+                assert_eq!(is_up, net.node_up(node, tick));
+            }
+        }
+    }
+
+    #[test]
+    fn median3_is_the_sorted_middle() {
+        let values = [1.0, 2.0, 2.0, 3.0, f64::INFINITY, 0.5];
+        for &a in &values {
+            for &b in &values {
+                for &c in &values {
+                    let mut sorted = [a, b, c];
+                    sorted.sort_by(f64::total_cmp);
+                    assert_eq!(median3(a, b, c).to_bits(), sorted[1].to_bits(), "{a} {b} {c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -89,11 +89,12 @@ impl RttMatrix {
             .collect()
     }
 
-    /// Median RTT over all pairs.
+    /// Median RTT over all pairs: the upper middle element in
+    /// [`f64::total_cmp`] order (a selection, not a full sort).
     pub fn median(&self) -> f64 {
         let mut v = self.upper.clone();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
+        let mid = v.len() / 2;
+        *v.select_nth_unstable_by(mid, f64::total_cmp).1
     }
 
     /// Fraction of node triples `(i, j, k)` for which the direct path
@@ -215,6 +216,20 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn median_matches_sorted_reference(
+            n in 2usize..40,
+            values in proptest::collection::vec(1u32..8, 1..64),
+        ) {
+            // Few distinct values, so most matrices carry many duplicates.
+            let m = RttMatrix::from_fn(n, |i, j| {
+                f64::from(values[(i * n + j) % values.len()]) * 2.5
+            });
+            let mut sorted = m.upper.clone();
+            sorted.sort_by(f64::total_cmp);
+            prop_assert_eq!(m.median().to_bits(), sorted[sorted.len() / 2].to_bits());
+        }
+
         #[test]
         fn packing_roundtrips(n in 2usize..12) {
             // Fill with a pair-unique value and verify retrieval.

@@ -154,6 +154,9 @@ pub struct NpsSimulation {
     /// Reusable SoA snapshot buffer for each layer round's phase 1 —
     /// flat arrays refilled in place, no steady-state allocation.
     snapshot: CoordSnapshot,
+    /// Per-node liveness at the current round (fault mode only), filled
+    /// once per round in place of per-probe churn draws.
+    up: Vec<bool>,
     /// Per-node consecutive probe-failure counts toward each reference
     /// point (fault mode only; empty maps on a clean network).
     probe_failures: Vec<BTreeMap<usize, u32>>,
@@ -340,6 +343,7 @@ impl NpsSimulation {
             obs: SimObs::new(),
             rng,
             snapshot: CoordSnapshot::new(),
+            up: Vec::new(),
             probe_failures: vec![BTreeMap::new(); n],
             pending_arms: BTreeSet::new(),
             bank: DetectorBank::new(),
@@ -503,7 +507,8 @@ impl NpsSimulation {
     /// live state the old sequential sweep observed. The returned
     /// [`RoundEffect`]s merge in node order (traces, confusion counts,
     /// RP replacements — the latter drawing from the driver RNG in the
-    /// same order as a sequential sweep).
+    /// same order as a sequential sweep). Liveness comes from the round's
+    /// mask, which [`NpsSimulation::run`] fills before the first layer.
     fn layer_round(
         &mut self,
         round: u64,
@@ -527,9 +532,10 @@ impl NpsSimulation {
         let registry = &self.registry;
         let snapshot = &self.snapshot;
         let faulty = !network.fault_plan().is_empty();
+        let up = &self.up;
         let effects = ices_par::par_for_indices(&mut self.participants, members, |node, participant| {
             let mut effect = RoundEffect::default();
-            if faulty && !network.node_up(node, round) {
+            if faulty && !up[node] {
                 // Crashed for this epoch: the node skips its round and
                 // rejoins warm (coordinate intact) when the epoch turns.
                 effect.self_down = true;
@@ -537,22 +543,20 @@ impl NpsSimulation {
             }
             for (k, &rp) in reference_points[node].iter().enumerate() {
                 let rtt = if !faulty {
-                    network.measure_rtt_smoothed(node, rp, probe_nonce(round, node, k))
+                    network.pair(node, rp).smoothed(probe_nonce(round, node, k))
                 } else {
                     let mut measured = None;
-                    if !network.node_up(rp, round) {
+                    if !up[rp] {
                         effect.failed_rps.push((rp, ProbeFate::PeerDown));
                     } else {
-                        // Bounded deterministic backoff: immediate
-                        // re-probes under fresh retry-stream nonces.
+                        // Both endpoints are up: only the link-fault
+                        // gate decides each attempt. Bounded
+                        // deterministic backoff: immediate re-probes
+                        // under fresh retry-stream nonces.
+                        let link = network.pair(node, rp);
                         let mut fate = ProbeFate::Lost;
                         for attempt in 0..=PROBE_RETRIES {
-                            match network.try_measure_rtt_smoothed(
-                                node,
-                                rp,
-                                retry_nonce(round, node, k, attempt),
-                                round,
-                            ) {
+                            match link.try_smoothed(retry_nonce(round, node, k, attempt)) {
                                 ProbeOutcome::Ok(r) => {
                                     measured = Some(r);
                                     if attempt > 0 {
@@ -843,7 +847,7 @@ impl NpsSimulation {
             return;
         }
         let above = self.hierarchy.layer[node].wrapping_sub(1);
-        let current: BTreeSet<usize> = self.reference_points[node].iter().copied().collect();
+        let current = &self.reference_points[node];
         let pool: Vec<usize> = (0..self.len())
             .filter(|&i| {
                 self.surveyors.contains(&i)
@@ -866,7 +870,7 @@ impl NpsSimulation {
     /// same layer (or keep it if none is available).
     fn replace_reference_point(&mut self, node: usize, rejected: usize) {
         let above = self.hierarchy.layer[node].wrapping_sub(1);
-        let current: BTreeSet<usize> = self.reference_points[node].iter().copied().collect();
+        let current = &self.reference_points[node];
         let candidates: Vec<usize> = (0..self.len())
             .filter(|&i| {
                 self.hierarchy.layer[i] == above
@@ -915,6 +919,9 @@ impl NpsSimulation {
             // before the round proper (no-op — and no RNG draw — unless
             // a deferral actually happened).
             self.retry_pending_arms();
+            if !self.network.fault_plan().is_empty() {
+                self.network.fill_up_mask(round, &mut self.up);
+            }
             for members in &layers {
                 if !members.is_empty() {
                     self.layer_round(round, members, adversary, collect);

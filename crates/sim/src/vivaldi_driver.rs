@@ -173,6 +173,10 @@ pub struct VivaldiSimulation {
     surveyors: BTreeSet<usize>,
     malicious: BTreeSet<usize>,
     neighbors: Vec<Vec<usize>>,
+    /// Base RTT to each neighbor, slot for slot beside `neighbors`, so
+    /// a step's probe skips the O(n²) base-RTT store. Kept in step by
+    /// [`VivaldiSimulation::set_neighbor`], the only neighbor writer.
+    neighbor_base: Vec<Vec<f64>>,
     participants: Vec<Participant>,
     registry: SurveyorRegistry,
     traces: Vec<TraceRing>,
@@ -187,6 +191,9 @@ pub struct VivaldiSimulation {
     /// arrays refilled in place, so steady-state ticks allocate nothing
     /// to photograph the population.
     snapshot: CoordSnapshot,
+    /// Per-node liveness at the current tick (fault mode only), filled
+    /// once per tick in place of per-probe churn draws.
+    up: Vec<bool>,
     /// Per-node consecutive probe-failure counts toward each neighbor
     /// (fault mode only; empty maps on a clean network).
     probe_failures: Vec<std::collections::BTreeMap<usize, u32>>,
@@ -304,6 +311,7 @@ impl VivaldiSimulation {
         // per node instead of O(n²) total. Both paper-scale populations
         // sit below the cap, so their candidate pools are the full scan.
         let mut neighbors = Vec::with_capacity(n);
+        let mut neighbor_base = Vec::with_capacity(n);
         for node in 0..n {
             let candidates: Vec<(usize, f64)> =
                 if surveyors.contains(&node) || config.embed_against_surveyors_only {
@@ -332,7 +340,20 @@ impl VivaldiSimulation {
                         .map(|p| (p, network.base_rtt(node, p)))
                         .collect()
                 };
-            neighbors.push(select_neighbors(&candidates, &vivaldi, &mut rng));
+            let chosen = select_neighbors(&candidates, &vivaldi, &mut rng);
+            // Every pool above is in ascending id order, so a binary
+            // search finds each chosen peer's base RTT among the
+            // candidates instead of re-reading the O(n²) store.
+            neighbor_base.push(
+                chosen
+                    .iter()
+                    .map(|&p| match candidates.binary_search_by_key(&p, |&(id, _)| id) {
+                        Ok(i) => candidates[i].1,
+                        Err(_) => network.base_rtt(node, p),
+                    })
+                    .collect(),
+            );
+            neighbors.push(chosen);
         }
 
         let participants = (0..n)
@@ -351,6 +372,7 @@ impl VivaldiSimulation {
             surveyors,
             malicious,
             neighbors,
+            neighbor_base,
             participants,
             registry: SurveyorRegistry::new(),
             traces: vec![TraceRing::with_capacity(TRACE_CAP); n],
@@ -358,6 +380,7 @@ impl VivaldiSimulation {
             obs: SimObs::new(),
             rng,
             snapshot: CoordSnapshot::new(),
+            up: Vec::new(),
             probe_failures: vec![std::collections::BTreeMap::new(); n],
             pending_arms: BTreeSet::new(),
             defense: DefenseConfig::off(),
@@ -387,10 +410,16 @@ impl VivaldiSimulation {
     /// empty plan is a bit-identical no-op.
     pub fn set_eclipse(&mut self, plan: EclipsePlan) {
         for node in 0..self.len() {
-            if self.surveyors.contains(&node) {
+            if self.surveyors.contains(&node) || !plan.is_victim(node) {
                 continue;
             }
-            plan.poison_neighbors(node, &mut self.neighbors[node]);
+            let mut poisoned = self.neighbors[node].clone();
+            plan.poison_neighbors(node, &mut poisoned);
+            for (slot, peer) in poisoned.into_iter().enumerate() {
+                if peer != self.neighbors[node][slot] {
+                    self.set_neighbor(node, slot, peer);
+                }
+            }
         }
         self.eclipse = plan;
     }
@@ -563,8 +592,13 @@ impl VivaldiSimulation {
 
         let network = &self.network;
         let neighbors = &self.neighbors;
+        let neighbor_base = &self.neighbor_base;
         let snapshot = &self.snapshot;
         let faulty = !network.fault_plan().is_empty();
+        if faulty {
+            network.fill_up_mask(tick, &mut self.up);
+        }
+        let up = &self.up;
         let defense = self.defense;
         let population = self.participants.len();
         let effects = ices_par::par_map_mut(&mut self.participants, |node, participant| {
@@ -573,30 +607,29 @@ impl VivaldiSimulation {
                 return StepEffect::default();
             }
             let mut effect = StepEffect::default();
-            if faulty && !network.node_up(node, tick) {
+            if faulty && !up[node] {
                 // Crashed for this epoch: the node does nothing and
                 // rejoins warm (coordinate intact) when the epoch turns.
                 effect.self_down = true;
                 return effect;
             }
             let peer = neighbors[node][slot];
+            let base = neighbor_base[node][slot];
             let rtt = if !faulty {
-                network.measure_rtt_smoothed(node, peer, step_nonce(tick, node))
+                network.pair_with_base(node, peer, base).smoothed(step_nonce(tick, node))
             } else {
                 let mut measured = None;
-                if !network.node_up(peer, tick) {
+                if !up[peer] {
                     effect.failed_probe = Some((peer, ProbeFate::PeerDown));
                 } else {
-                    // Bounded deterministic backoff: immediate re-probes
-                    // under fresh retry-stream nonces, capped per tick.
+                    // Both endpoints are up: only the link-fault gate
+                    // decides each attempt. Bounded deterministic
+                    // backoff: immediate re-probes under fresh
+                    // retry-stream nonces, capped per tick.
+                    let link = network.pair_with_base(node, peer, base);
                     let mut fate = ProbeFate::Lost;
                     for attempt in 0..=PROBE_RETRIES {
-                        match network.try_measure_rtt_smoothed(
-                            node,
-                            peer,
-                            retry_nonce(tick, node, attempt),
-                            tick,
-                        ) {
+                        match link.try_smoothed(retry_nonce(tick, node, attempt)) {
                             ProbeOutcome::Ok(r) => {
                                 measured = Some(r);
                                 effect.retried = attempt > 0;
@@ -877,11 +910,25 @@ impl VivaldiSimulation {
         self.obs.tick_boundary(tick);
     }
 
+    /// Put `peer` in `node`'s neighbor `slot`, with its base RTT beside
+    /// it. Every neighbor change (replacement, dead-peer eviction,
+    /// eclipse poisoning) goes through here.
+    fn set_neighbor(&mut self, node: usize, slot: usize, peer: usize) {
+        self.neighbors[node][slot] = peer;
+        self.neighbor_base[node][slot] = self.network.base_rtt(node, peer);
+    }
+
+    /// Put `new` in the slot `old` holds in `node`'s neighbor set.
+    fn swap_neighbor(&mut self, node: usize, old: usize, new: usize) {
+        if let Some(slot) = self.neighbors[node].iter().position(|&p| p == old) {
+            self.set_neighbor(node, slot, new);
+        }
+    }
+
     /// Swap a rejected peer for a fresh random node (not self, not
     /// already a neighbor).
     fn replace_neighbor(&mut self, node: usize, rejected: usize) {
         let n = self.len();
-        let current: BTreeSet<usize> = self.neighbors[node].iter().copied().collect();
         // Registrar poisoning: an eclipsed victim's replacement draw is
         // steered toward an attacker with the plan's strength. A
         // steered pick already in the set falls back to an honest draw
@@ -889,20 +936,16 @@ impl VivaldiSimulation {
         if self.eclipse.is_victim(node) {
             self.replacement_draws += 1;
             if let Some(candidate) = self.eclipse.steer_replacement(node, self.replacement_draws) {
-                if candidate != node && !current.contains(&candidate) {
-                    if let Some(slot) = self.neighbors[node].iter_mut().find(|p| **p == rejected) {
-                        *slot = candidate;
-                    }
+                if candidate != node && !self.neighbors[node].contains(&candidate) {
+                    self.swap_neighbor(node, rejected, candidate);
                     return;
                 }
             }
         }
         for _ in 0..32 {
             let candidate = self.rng.random_range(0..n);
-            if candidate != node && !current.contains(&candidate) {
-                if let Some(slot) = self.neighbors[node].iter_mut().find(|p| **p == rejected) {
-                    *slot = candidate;
-                }
+            if candidate != node && !self.neighbors[node].contains(&candidate) {
+                self.swap_neighbor(node, rejected, candidate);
                 return;
             }
         }
@@ -930,9 +973,7 @@ impl VivaldiSimulation {
             return; // No fresh Surveyor available: keep the dead peer.
         }
         let candidate = pool[self.rng.random_range(0..pool.len())];
-        if let Some(slot) = self.neighbors[node].iter_mut().find(|p| **p == dead) {
-            *slot = candidate;
-        }
+        self.swap_neighbor(node, dead, candidate);
     }
 
     /// Run `passes` full embedding passes (each node visits every one of
@@ -1513,6 +1554,58 @@ mod tests {
                 .any(|&n| sim.neighbors_of(n).contains(&victim)),
             "no live node should still neighbor the dead one after eviction"
         );
+    }
+
+    /// The cached per-slot base RTTs must equal the store's after every
+    /// kind of neighbor change: eclipse poisoning, rejection
+    /// replacements and dead-peer evictions.
+    #[test]
+    fn neighbor_base_rtts_track_every_neighbor_change() {
+        use ices_netsim::ChurnModel;
+        let vivaldi = VivaldiConfig {
+            neighbors: 8,
+            close_neighbors: 4,
+            ..VivaldiConfig::paper_default()
+        };
+        let mut sim = VivaldiSimulation::with_vivaldi_config(scenario(16), vivaldi);
+        let assert_in_step = |sim: &VivaldiSimulation, when: &str| {
+            for node in 0..sim.len() {
+                for (slot, &peer) in sim.neighbors[node].iter().enumerate() {
+                    assert_eq!(
+                        sim.neighbor_base[node][slot].to_bits(),
+                        sim.network.base_rtt(node, peer).to_bits(),
+                        "{when}: node {node} slot {slot}"
+                    );
+                }
+            }
+        };
+        let before: Vec<Vec<usize>> = sim.neighbors.clone();
+        let victims: Vec<usize> = sim.normal_nodes().into_iter().take(10).collect();
+        let attackers: Vec<usize> = sim.malicious().iter().copied().collect();
+        sim.set_eclipse(EclipsePlan::new(victims, attackers, 0.5, 16));
+        assert_ne!(before, sim.neighbors, "poisoning should rewrite slots");
+        assert_in_step(&sim, "after poisoning");
+        let dead = sim.normal_nodes()[12];
+        sim.set_fault_plan(
+            FaultPlan::lossy(0.1, 0.05)
+                .with_churn(ChurnModel::new(8, 0.1))
+                .with_node_churn(dead, ChurnModel::permanent_outage()),
+        );
+        sim.run_clean(4);
+        sim.calibrate_surveyors(&EmConfig::default());
+        sim.arm_detection();
+        let target = sim.normal_nodes()[0];
+        let attack = VivaldiIsolationAttack::new(
+            sim.malicious().iter().copied(),
+            sim.coordinate(target).clone(),
+            100.0,
+            16,
+        );
+        sim.run(3, &attack, false);
+        let report = sim.report();
+        assert!(report.faults.evictions > 0, "dead peers should be evicted");
+        assert!(report.replacements > 0, "rejected peers should be replaced");
+        assert_in_step(&sim, "after the attack");
     }
 
     #[test]

@@ -70,6 +70,12 @@ cargo run -q --release -p ices-svc --bin loadgen -- --clients 10000 --gate \
   | tee target/loadgen_smoke.txt
 grep -Eq 'p50 [0-9]+ us, p99 [0-9]+ us' target/loadgen_smoke.txt
 
+# Benchmark smoke: every perfbench workload at its seconds-long smoke
+# size, traced and untraced; exits nonzero unless every metric of
+# BENCHMARK.json is emitted with its unit, the output checks pass and
+# the span files are well formed.
+python3 perfbench/smoke_test.py
+
 # Tier 2: time the two-phase tick engine sequentially and at host
 # parallelism, plus one faulty-network configuration per driver
 # (10% probe loss + churn), the streamed-topology scale sweep
