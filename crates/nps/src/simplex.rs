@@ -156,6 +156,25 @@ fn reposition_last(order: &mut [usize], values: &[f64]) {
     order[j] = moved;
 }
 
+/// Whether the simplex diameter — the largest |component difference|
+/// of any vertex from the vertex starting at `best_start`, folded with
+/// `f64::max` from 0.0, so NaNs are ignored — is below `tol`.
+///
+/// Asked as a yes/no question: the diameter is below `tol` exactly when
+/// no difference reaches it, so the scan stops at the first one that
+/// does. Minimizations that stall at the iteration cap spend many
+/// iterations with the spread already below tolerance, each asking this.
+fn diameter_below(simplex: &[f64], best_start: usize, n: usize, tol: f64) -> bool {
+    let best_row = &simplex[best_start..best_start + n];
+    // audit:allow(FAST01): row views; a yes/no scan, no arithmetic reduction
+    simplex.chunks_exact(n).all(|v| {
+        v.iter().zip(best_row).all(|(a, b)| {
+            let d = (a - b).abs();
+            d < tol || d.is_nan()
+        })
+    })
+}
+
 impl NelderMeadScratch {
     /// Create an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> Self {
@@ -285,22 +304,9 @@ impl NelderMeadScratch {
             // converged iteration skips it entirely — a pure-function
             // elision with no observable effect.
             let spread = values[worst] - values[best];
-            if spread.abs() < tol {
-                let best_row = &simplex[best * n..(best + 1) * n];
-                let diameter = simplex
-                    // audit:allow(FAST01): row views; the max-fold is order-independent
-                    .chunks_exact(n)
-                    .map(|v| {
-                        v.iter()
-                            .zip(best_row)
-                            .map(|(a, b)| (a - b).abs())
-                            .fold(0.0, f64::max)
-                    })
-                    .fold(0.0, f64::max);
-                if diameter < tol {
-                    converged = true;
-                    break;
-                }
+            if spread.abs() < tol && diameter_below(simplex, best * n, n, tol) {
+                converged = true;
+                break;
             }
 
             // Centroid of all but the worst vertex: rows below the worst,
@@ -422,6 +428,46 @@ pub fn nelder_mead(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The early-exit scan answers exactly what comparing the
+        /// max-folded diameter with `tol` answers, NaN components
+        /// included.
+        #[test]
+        fn diameter_below_matches_the_folded_diameter(
+            n in 1usize..=9,
+            best in 0usize..10,
+            scale in 0usize..3,
+            offsets in proptest::collection::vec(-1f64..1.0, 90),
+            nan_at in proptest::collection::vec(0usize..200, 3),
+        ) {
+            let tol = 1e-8;
+            let best = best % (n + 1);
+            // Spreads wholly inside, straddling and mostly outside `tol`.
+            let scale = [3e-9, 1e-8, 3e-8][scale];
+            let mut simplex: Vec<f64> =
+                offsets[..(n + 1) * n].iter().map(|o| 100.0 + o * scale).collect();
+            for &i in &nan_at {
+                if let Some(v) = simplex.get_mut(i) {
+                    *v = f64::NAN;
+                }
+            }
+            let best_row = &simplex[best * n..(best + 1) * n];
+            let diameter = simplex
+                .chunks_exact(n)
+                .map(|v| {
+                    v.iter()
+                        .zip(best_row)
+                        .map(|(a, b)| (a - b).abs())
+                        .fold(0.0, f64::max)
+                })
+                .fold(0.0, f64::max);
+            prop_assert_eq!(diameter_below(&simplex, best * n, n, tol), diameter < tol);
+        }
+    }
 
     #[test]
     fn minimizes_quadratic_bowl() {

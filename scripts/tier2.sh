@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# The NPS goldens and the simulation determinism suites again, built
+# with optimisation: the packed objective kernels only exist in
+# optimised code, which the debug `cargo test` above never runs.
+cargo test --release -q -p ices-nps
+cargo test --release -q -p ices-sim --test determinism --test chaos_determinism --test fast_tier
+
 # Static analysis: determinism & panic-hygiene invariants (also gated
 # in tier-1 via tests/audit_clean.rs; run here with --json for the
 # machine-readable allowlist inventory). --strict-allows turns stale
