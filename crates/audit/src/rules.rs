@@ -33,13 +33,6 @@
 //!   `ices_obs::Clock` trait, and the only sanctioned wall-clock impl
 //!   lives in `crates/bench` (`WallClock`). Inside `crates/obs` this
 //!   rule supersedes DET02 — same triggers, sharper message.
-//! * **FAST01** — reassociation-bearing and tier-dispatch calls
-//!   (`fast_enabled(`, `with_fast(`, `.chunks_exact(`,
-//!   `.chunks_exact_mut(`) are confined to modules named `fast` inside
-//!   determinism-critical crates (`crates/par`, which *defines* the
-//!   tier knob, is exempt): the exact tier's bit-for-bit contract
-//!   survives only if every place that can reorder a float reduction is
-//!   findable by module name.
 //! * **ALLOW01** — a malformed `audit:allow` (unknown rule or missing
 //!   reason). Never suppressible: the reason *is* the audit trail.
 //!
@@ -53,9 +46,9 @@ use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Rule identifiers in report order.
-pub const RULE_IDS: [&str; 12] = [
+pub const RULE_IDS: [&str; 11] = [
     "DET01", "DET02", "DET03", "PANIC01", "PANIC02", "SAFE01", "OBS01", "OBS02", "STREAM01",
-    "FAST01", "ALLOW01", "ALLOW02",
+    "ALLOW01", "ALLOW02",
 ];
 
 /// The parallel entry points whose closures OBS02 polices: everything
@@ -705,11 +698,6 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
     let det03_applies = !matches!(ctx.crate_name.as_str(), "par" | "svc");
     let sockets_apply = ctx.crate_name != "svc";
     let panic01_applies = ctx.kind == FileKind::Lib;
-    // FAST01: `crates/par` owns the tier knob, and modules *named*
-    // `fast` are exactly where reassociated kernels are supposed to
-    // live — the rule polices everywhere else in critical crates.
-    let fast_module = ctx.path.ends_with("/fast.rs") || ctx.path.contains("/fast/");
-    let fast01_applies = critical && ctx.crate_name != "par" && !fast_module;
     // Inside crates/obs the wall-clock rule carries the observability
     // contract's name and message (and supersedes DET02 so one hazard
     // never produces two findings).
@@ -874,23 +862,6 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
                         "raw `thread::{what}` outside `crates/par`; all \
                          parallelism must go through ices-par's \
                          order-preserving entry points"
-                    ),
-                    &mut findings,
-                );
-            }
-            "fast_enabled" | "with_fast" | "chunks_exact" | "chunks_exact_mut"
-                if fast01_applies
-                    && punct_at(tokens, i + 1) == Some('(')
-                    && !in_spans(&spans, line) =>
-            {
-                push(
-                    "FAST01",
-                    line,
-                    format!(
-                        "`{word}(` outside a `fast` module; tier dispatch and \
-                         chunked (reassociation-prone) reductions belong in a \
-                         module named `fast` (or justify with \
-                         `// audit:allow(FAST01): reason`)"
                     ),
                     &mut findings,
                 );
@@ -1212,51 +1183,6 @@ mod tests {
         let mut svc = lib_ctx();
         svc.crate_name = "svc".into();
         assert!(audit_source(&svc, src).findings.is_empty());
-    }
-
-    #[test]
-    fn fast01_flags_tier_calls_outside_fast_modules() {
-        let src = "pub fn f(v: &[f64]) -> bool {\n    let _ = v.chunks_exact(4);\n    ices_par::fast_enabled()\n}\n";
-        let r = audit_source(&lib_ctx(), src);
-        assert_eq!(rules_of(&r), [("FAST01", 2, false), ("FAST01", 3, false)]);
-    }
-
-    #[test]
-    fn fast01_exempts_fast_modules_par_and_noncritical_crates() {
-        let src =
-            "pub fn f(v: &mut [f64]) { for c in v.chunks_exact_mut(4) { c.reverse(); } }\n";
-        let mut ctx = lib_ctx();
-        ctx.path = "crates/nps/src/fast.rs".into();
-        ctx.crate_name = "nps".into();
-        assert!(audit_source(&ctx, src).findings.is_empty());
-        ctx.path = "crates/core/src/batch/fast/kernel.rs".into();
-        ctx.crate_name = "core".into();
-        assert!(audit_source(&ctx, src).findings.is_empty());
-        let mut par = lib_ctx();
-        par.crate_name = "par".into();
-        assert!(audit_source(&par, "pub fn g() -> bool { fast_enabled() }\n")
-            .findings
-            .is_empty());
-        let mut stats = lib_ctx();
-        stats.crate_name = "stats".into();
-        assert!(audit_source(&stats, src).findings.is_empty());
-    }
-
-    #[test]
-    fn fast01_exempts_tests_and_honors_allows() {
-        let test_src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { ices_par::with_fast(true, || {}); }\n}\n";
-        assert!(audit_source(&lib_ctx(), test_src).findings.is_empty());
-        let allowed = "pub fn f(v: &[f64]) -> f64 {\n    // audit:allow(FAST01): lane-independent sweep, no reduction reordered\n    v.chunks_exact(4).map(|c| c.iter().sum::<f64>()).sum()\n}\n";
-        let r = audit_source(&lib_ctx(), allowed);
-        assert_eq!(rules_of(&r), [("FAST01", 3, true)]);
-        assert!(r.allows[0].used);
-    }
-
-    #[test]
-    fn fast01_requires_a_call_site() {
-        // Mentions in docs/strings/idents-without-parens don't fire.
-        let src = "pub fn chunks_exact_reporter() { let fast_enabled = 1; let _ = fast_enabled; }\n";
-        assert!(audit_source(&lib_ctx(), src).findings.is_empty());
     }
 
     #[test]

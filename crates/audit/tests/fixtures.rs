@@ -241,7 +241,6 @@ fn binary_exits_nonzero_on_each_bad_fixture() {
         "panic01_unwrap.rs",
         "panic02_literal_index.rs",
         "obs02_par_closure.rs",
-        "fast01_chunked_reduction.rs",
         "stream01_bare_tag.rs",
         "stream01_dup/streams.rs",
         "safe01/lib.rs",
@@ -284,30 +283,6 @@ fn panic02_fixture_flags_only_the_literal_index() {
 #[test]
 fn obs02_fixture_flags_only_the_closure_body_mutation() {
     assert_single_finding("obs02_par_closure.rs", "OBS02", 8);
-}
-
-#[test]
-fn fast01_fixture_flags_only_the_chunked_call() {
-    assert_single_finding("fast01_chunked_reduction.rs", "FAST01", 7);
-    // The same reduction is sanctioned where fast kernels live: a
-    // module named `fast`, or anywhere in crates/par (the tier's home).
-    let mut targets = adhoc_targets(&[fixture("fast01_chunked_reduction.rs")]);
-    for (_, ctx) in &mut targets {
-        ctx.path = "crates/nps/src/fast.rs".into();
-    }
-    let report = audit_targets(&targets);
-    assert!(
-        report.findings.is_empty(),
-        "fast modules may reassociate: {:?}",
-        report.findings
-    );
-    let targets = adhoc_targets_as(&[fixture("fast01_chunked_reduction.rs")], "par");
-    let report = audit_targets(&targets);
-    assert!(
-        report.findings.is_empty(),
-        "crates/par owns the tier knob: {:?}",
-        report.findings
-    );
 }
 
 #[test]

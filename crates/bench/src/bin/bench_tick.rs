@@ -14,17 +14,12 @@
 //! behind `ICES_SCALE=xl` — smoke-tests constructing a million-node
 //! streamed network plus a probe storm over it. A pool-dispatch
 //! microbenchmark records what one persistent-pool broadcast costs
-//! per call next to what the legacy per-call `thread::scope` spawn
-//! path cost, so the pool's whole reason to exist is a number in the
-//! perf trajectory.
+//! per call.
 //!
-//! Two newer entries ride the same report: a **detector-bank**
-//! microbenchmark timing the scalar per-peer vetting loop against the
-//! SoA `DetectorBank` sweep at paper scale (1,740 peers), asserting
-//! bit-identical suspicious counts while it times; and per-driver
-//! **fast-tier rows** (`ICES_FAST` reassociated kernels, enabled via
-//! an in-process override so one run records both tiers) — every row
-//! carries a `tier` tag so `bench_check` never compares across tiers.
+//! A **detector-bank** microbenchmark rides the same report, timing
+//! the scalar per-peer vetting loop against the SoA `DetectorBank`
+//! sweep at paper scale (1,740 peers) and asserting bit-identical
+//! suspicious counts while it times.
 //!
 //! ```text
 //! bench_tick [--scale test|harness|paper] [--seed N] [--no-json]
@@ -50,15 +45,6 @@ fn faulty_plan() -> FaultPlan {
     FaultPlan::lossy(0.10, 0.025).with_churn(ChurnModel::new(16, 0.05))
 }
 
-/// The numeric tier in effect, as recorded in benchmark rows.
-fn ambient_tier() -> &'static str {
-    if ices_par::fast_enabled() {
-        "fast"
-    } else {
-        "exact"
-    }
-}
-
 /// One timed configuration of one driver.
 #[derive(Debug, Serialize)]
 struct TickBench {
@@ -76,9 +62,6 @@ struct TickBench {
     /// the honest-world run through the *same* attack-phase code path —
     /// the sybil/honest_twin delta is the intercept path's cost.
     adversary: &'static str,
-    /// Numeric tier the row ran on: `"exact"` (bit-for-bit, the
-    /// default) or `"fast"` (`ICES_FAST=1` reassociated kernels).
-    tier: &'static str,
     secs: f64,
     steps_per_sec: f64,
 }
@@ -86,8 +69,8 @@ struct TickBench {
 /// Batched detection microbenchmark: one snapshot-wide classification
 /// sweep (predict → evaluate → accept/coast) over a paper-scale peer
 /// population, timed as a scalar `Detector` loop and as the
-/// `DetectorBank` SoA kernels. Both paths run the exact tier — the same
-/// FP ops in the same order — so the ratio is pure execution-shape:
+/// `DetectorBank` SoA kernels. Both paths run the same FP ops in the
+/// same order, so the ratio is pure execution-shape:
 /// columnized state, no per-call dispatch, `Q⁻¹(α/2)` cached per slot.
 #[derive(Debug, Serialize)]
 struct DetectorBankBench {
@@ -129,15 +112,11 @@ struct ScaleRow {
     steps_per_sec: f64,
 }
 
-/// Per-call cost of putting work on the persistent pool, next to the
-/// per-call cost of the legacy scoped-spawn path it replaced.
+/// Per-call cost of putting work on the persistent pool.
 #[derive(Debug, Serialize)]
 struct PoolDispatch {
     /// Mean µs per two-partition `par_map_mut` over a warm pool.
     pool_dispatch_us: f64,
-    /// Mean µs per legacy `thread::scope` spawn of two workers — what
-    /// every single parallel call used to pay before the pool.
-    scope_spawn_us: f64,
 }
 
 /// `ICES_SCALE=xl` smoke: can a million-node streamed topology be
@@ -251,7 +230,6 @@ fn time_vivaldi(scale: &Scale, threads: usize, faults: bool, journal: bool) -> T
         faults,
         journal,
         adversary: "none",
-        tier: ambient_tier(),
         secs,
         steps_per_sec: steps as f64 / secs,
     }
@@ -284,7 +262,6 @@ fn time_nps(scale: &Scale, threads: usize, faults: bool, journal: bool) -> TickB
         faults,
         journal,
         adversary: "none",
-        tier: ambient_tier(),
         secs,
         steps_per_sec: steps as f64 / secs,
     }
@@ -350,8 +327,7 @@ fn time_adversarial(scale: &Scale, driver: &'static str, sybil: bool) -> TickBen
             faults: false,
             journal: false,
             adversary: if sybil { "sybil" } else { "honest_twin" },
-            tier: ambient_tier(),
-            secs,
+                secs,
             steps_per_sec: steps as f64 / secs,
         }
     } else {
@@ -383,8 +359,7 @@ fn time_adversarial(scale: &Scale, driver: &'static str, sybil: bool) -> TickBen
             faults: false,
             journal: false,
             adversary: if sybil { "sybil" } else { "honest_twin" },
-            tier: ambient_tier(),
-            secs,
+                secs,
             steps_per_sec: steps as f64 / secs,
         }
     }
@@ -456,9 +431,8 @@ fn sweep_plan(scale_name: &str) -> Vec<(usize, usize, usize)> {
     plan
 }
 
-/// Per-call pool-dispatch cost vs the retired per-call scoped-spawn
-/// path. Both numbers are means over many calls on a warm pool; the
-/// workload is deliberately trivial (64 float increments) so the
+/// Per-call pool-dispatch cost: the mean over many calls on a warm
+/// pool. The workload is deliberately trivial (64 float increments) so the
 /// measurement is dispatch overhead, not work.
 fn time_pool_dispatch() -> PoolDispatch {
     let mut data = vec![0.0f64; 64];
@@ -472,17 +446,8 @@ fn time_pool_dispatch() -> PoolDispatch {
         for _ in 0..CALLS {
             ices_par::par_map_mut(&mut data, |_, x| *x += 1.0);
         }
-        let pool_dispatch_us = start.elapsed().as_secs_f64() * 1e6 / CALLS as f64;
-
-        const SPAWNS: usize = 400;
-        let start = Instant::now();
-        for _ in 0..SPAWNS {
-            ices_par::scope_spawn_reference(2);
-        }
-        let scope_spawn_us = start.elapsed().as_secs_f64() * 1e6 / SPAWNS as f64;
         PoolDispatch {
-            pool_dispatch_us,
-            scope_spawn_us,
+            pool_dispatch_us: start.elapsed().as_secs_f64() * 1e6 / CALLS as f64,
         }
     })
 }
@@ -576,7 +541,7 @@ fn time_detector_bank() -> DetectorBankBench {
     // Batched path: the same schedule through the bank's flat sweeps.
     let time_batched = || -> (f64, u64) {
         let proto = Detector::new(params, alpha);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         for _ in 0..PEERS {
             bank.push(&proto);
         }
@@ -767,28 +732,6 @@ fn main() {
         );
         runs.push(twin);
         runs.push(sybil);
-        // Fast-tier twin of the clean sequential row (`ICES_FAST=1`
-        // reassociated kernels). bench_check compares fast rows only
-        // against fast baselines — the tiers are different numerics, so
-        // cross-tier ratios are a tier property, not a regression.
-        let bench = ices_par::with_fast(true, || {
-            best_of(timer, &options.scale, 1, false, false)
-        });
-        let exact = runs
-            .iter()
-            .find(|r| {
-                r.driver == name && r.threads == 1 && !r.faults && !r.journal
-                    && r.adversary == "none" && r.tier == "exact"
-            })
-            .map(|r| r.steps_per_sec);
-        let gain = exact
-            .map(|e| (bench.steps_per_sec / e - 1.0) * 100.0)
-            .unwrap_or(f64::NAN);
-        println!(
-            "{name:>8}  threads={:<2}  {:>8.2}s  {:>12.0} steps/s  (fast tier: {gain:+.1}% vs exact)",
-            bench.threads, bench.secs, bench.steps_per_sec
-        );
-        runs.push(bench);
     }
 
     // Streamed-topology scale sweep: the paper's sizes plus 50k, all on
@@ -824,8 +767,8 @@ fn main() {
 
     let pool_dispatch = time_pool_dispatch();
     println!(
-        "{:>8}  pool broadcast {:.2} µs/call vs scoped spawn {:.2} µs/call",
-        "pool", pool_dispatch.pool_dispatch_us, pool_dispatch.scope_spawn_us
+        "{:>8}  pool broadcast {:.2} µs/call",
+        "pool", pool_dispatch.pool_dispatch_us
     );
 
     let xl_streamed = if std::env::var("ICES_SCALE").as_deref() == Ok("xl") {
@@ -859,7 +802,7 @@ fn main() {
             runs.iter()
                 .find(|r| {
                     r.driver == driver && r.threads == t && !r.faults && !r.journal
-                        && r.adversary == "none" && r.tier == "exact"
+                        && r.adversary == "none"
                 })
                 .map(|r| r.steps_per_sec)
         };

@@ -11,10 +11,11 @@
 //!
 //! Schema evolution policy: a baseline recorded before a field existed
 //! is compared under that field's default (`journal=false`,
-//! `adversary="none"`, `tier="exact"` — which is what those rows were),
-//! and the report carries one note per defaulted field naming how many
-//! rows it touched. Old baselines never error, and the defaulting is
-//! never silent.
+//! `adversary="none"` — which is what those rows were), and the report
+//! carries one note per defaulted field naming how many rows it
+//! touched. Old baselines never error, and the defaulting is never
+//! silent. Rows tagged with a `tier` other than `"exact"` come from a
+//! numeric tier that no longer exists and are never compared.
 
 use serde::Value;
 
@@ -69,7 +70,6 @@ struct Row {
     faults: bool,
     journal: bool,
     adversary: String,
-    tier: String,
     sps: f64,
 }
 
@@ -79,7 +79,6 @@ struct Row {
 struct SchemaGaps {
     journal: usize,
     adversary: usize,
-    tier: usize,
 }
 
 impl SchemaGaps {
@@ -89,7 +88,6 @@ impl SchemaGaps {
         for (missing, name, default) in [
             (self.journal, "journal", "false"),
             (self.adversary, "adversary", "\"none\""),
-            (self.tier, "tier", "\"exact\""),
         ] {
             if missing > 0 {
                 out.push(format!(
@@ -108,6 +106,13 @@ fn runs(report: &Value) -> (Vec<Row>, SchemaGaps) {
     let mut gaps = SchemaGaps::default();
     if let Some(Value::Seq(entries)) = field(report, "runs") {
         for run in entries {
+            // Baselines recorded while the fast numeric tier existed tag
+            // its rows `"tier":"fast"`. They share every other identity
+            // field with an exact row, so they are skipped rather than
+            // read as exact rows.
+            if field(run, "tier").is_some_and(|t| !matches!(t, Value::Str(s) if s == "exact")) {
+                continue;
+            }
             let driver = match field(run, "driver") {
                 Some(Value::Str(s)) => s.clone(),
                 _ => continue,
@@ -131,13 +136,6 @@ fn runs(report: &Value) -> (Vec<Row>, SchemaGaps) {
                     "none".to_string()
                 }
             };
-            let tier = match field(run, "tier") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => {
-                    gaps.tier += 1;
-                    "exact".to_string()
-                }
-            };
             let sps = match field(run, "steps_per_sec").and_then(number) {
                 Some(s) => s,
                 None => continue,
@@ -148,7 +146,6 @@ fn runs(report: &Value) -> (Vec<Row>, SchemaGaps) {
                 faults,
                 journal,
                 adversary,
-                tier,
                 sps,
             });
         }
@@ -226,29 +223,25 @@ pub fn compare(baseline: &Value, current: &Value) -> CheckReport {
         if !same_host && row.threads != 1 {
             continue;
         }
-        // Tier is part of the row's identity: a fast row never compares
-        // against an exact baseline (or vice versa).
         let Some(old) = old_runs.iter().find(|o| {
             o.driver == row.driver
                 && o.threads == row.threads
                 && o.faults == row.faults
                 && o.journal == row.journal
                 && o.adversary == row.adversary
-                && o.tier == row.tier
         }) else {
             continue;
         };
         report.compared += 1;
         if row.sps < old.sps * (1.0 - TOLERANCE) {
             report.warnings.push(format!(
-                "{} (threads={}, faults={}, journal={}, adversary={}, tier={}) \
+                "{} (threads={}, faults={}, journal={}, adversary={}) \
                  regressed {:.0}% — {:.0} → {:.0} steps/sec",
                 row.driver,
                 row.threads,
                 row.faults,
                 row.journal,
                 row.adversary,
-                row.tier,
                 100.0 * (1.0 - row.sps / old.sps),
                 old.sps,
                 row.sps
@@ -269,7 +262,6 @@ pub fn compare(baseline: &Value, current: &Value) -> CheckReport {
                 && o.faults == row.faults
                 && !o.journal
                 && o.adversary == row.adversary
-                && o.tier == row.tier
         }) else {
             continue;
         };
@@ -300,7 +292,6 @@ pub fn compare(baseline: &Value, current: &Value) -> CheckReport {
                 && o.faults == row.faults
                 && o.journal == row.journal
                 && o.adversary == "honest_twin"
-                && o.tier == row.tier
         }) else {
             continue;
         };
@@ -433,13 +424,13 @@ mod tests {
     fn modern_run(sps: f64) -> String {
         format!(
             r#"{{"driver":"vivaldi","threads":1,"faults":false,"journal":false,
-                "adversary":"none","tier":"exact","steps_per_sec":{sps}}}"#
+                "adversary":"none","steps_per_sec":{sps}}}"#
         )
     }
 
     #[test]
     fn old_schema_rows_default_with_a_note_and_still_compare() {
-        // A baseline from before journal/adversary/tier existed.
+        // A baseline from before journal/adversary existed.
         let baseline = parse(
             r#"{"runs":[{"driver":"vivaldi","threads":1,"faults":false,
                 "steps_per_sec":1000}]}"#,
@@ -448,7 +439,7 @@ mod tests {
         let report = compare(&baseline, &current);
         assert_eq!(report.compared, 1, "defaults must keep rows comparable");
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
-        for name in ["journal", "adversary", "tier"] {
+        for name in ["journal", "adversary"] {
             assert!(
                 report.notes.iter().any(|n| n.contains(&format!("`{name}`"))),
                 "missing migration note for {name}: {:?}",
@@ -498,15 +489,22 @@ mod tests {
     }
 
     #[test]
-    fn cross_tier_rows_never_compare() {
+    fn baseline_fast_tier_rows_never_compare() {
+        // Same identity fields as the current row; only the retired
+        // `tier` tag tells the two baseline rows apart. The fast one
+        // comes first, so reading it as exact would match it.
         let baseline = parse(
             r#"{"runs":[{"driver":"vivaldi","threads":1,"faults":false,
                 "journal":false,"adversary":"none","tier":"fast",
-                "steps_per_sec":9000}]}"#,
+                "steps_per_sec":9000},
+                {"driver":"vivaldi","threads":1,"faults":false,
+                "journal":false,"adversary":"none","tier":"exact",
+                "steps_per_sec":100}]}"#,
         );
         let current = parse(&format!(r#"{{"runs":[{}]}}"#, modern_run(100.0)));
         let report = compare(&baseline, &current);
-        assert_eq!(report.compared, 0, "exact row must not match fast baseline");
-        assert!(report.warnings.is_empty());
+        assert_eq!(report.compared, 1, "only the exact baseline row compares");
+        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+        assert!(report.notes.is_empty(), "{:?}", report.notes);
     }
 }

@@ -1,8 +1,8 @@
 //! bench_check against fixture baselines: the schema-evolution contract.
 //!
 //! `tests/fixtures/bench_old_schema.json` is a report the way the
-//! harness wrote it before the `journal`, `adversary`, `tier`, and
-//! `loadgen` sections existed. It must stay comparable — defaults plus
+//! harness wrote it before the `journal` and `adversary` fields and
+//! the `loadgen` section existed. It must stay comparable — defaults plus
 //! one migration note per missing field — forever; an old committed
 //! baseline going dark (or erroring) after a schema change is exactly
 //! the regression this file pins down. The committed `BENCH_sim.json`
@@ -29,13 +29,13 @@ fn modern_report() -> Value {
         r#"{
             "runs": [
                 {"driver": "vivaldi", "threads": 1, "faults": false,
-                 "journal": false, "adversary": "none", "tier": "exact",
+                 "journal": false, "adversary": "none",
                  "steps_per_sec": 1150.0},
                 {"driver": "vivaldi", "threads": 1, "faults": true,
-                 "journal": false, "adversary": "none", "tier": "exact",
+                 "journal": false, "adversary": "none",
                  "steps_per_sec": 1050.0},
                 {"driver": "nps", "threads": 1, "faults": false,
-                 "journal": false, "adversary": "none", "tier": "exact",
+                 "journal": false, "adversary": "none",
                  "steps_per_sec": 790.0}
             ],
             "nps_solver": {"solves_per_sec": 41.0},
@@ -57,7 +57,7 @@ fn old_schema_baseline_compares_with_migration_notes() {
 
     // One note per defaulted field, naming the field and the row count,
     // plus one for the missing loadgen section.
-    for needle in ["`journal`", "`adversary`", "`tier`", "loadgen"] {
+    for needle in ["`journal`", "`adversary`", "loadgen"] {
         assert!(
             report.notes.iter().any(|n| n.contains(needle)),
             "no migration note mentioning {needle}: {:?}",

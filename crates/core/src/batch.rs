@@ -9,9 +9,9 @@
 //! `coast_all`, each one flat pass over `&[f64]` replacing N individual
 //! `Detector` calls.
 //!
-//! # Exact-tier contract
+//! # Bit-identity contract
 //!
-//! In the default (exact) tier every kernel performs **bit-for-bit the
+//! Every kernel performs **bit-for-bit the
 //! same f64 operations, in the same per-slot order**, as the scalar
 //! [`Detector`]/[`KalmanFilter`] methods it replaces:
 //!
@@ -32,26 +32,15 @@
 //! sweeps, and scatter the state back with [`DetectorBank::store`]. The
 //! scalar `Detector` inside each `SecureNode` remains the single
 //! serialized, API-visible state.
-//!
-//! # The fast tier
-//!
-//! With `ICES_FAST=1` (see `ices_par::fast_enabled`) the evaluation
-//! sweep dispatches to [`fast`], which reorders the threshold
-//! comparison (squared form, fused normalize). Fast-tier outputs are
-//! deterministic *per tier* but not bit-identical to the exact tier;
-//! they carry their own golden fingerprints and a statistical
-//! equivalence gate (see DESIGN.md §14).
 
 use crate::detector::{Detector, Verdict, SAMPLE_STARVATION_LIMIT};
 use crate::kalman::{RECALIBRATION_BAND, RECALIBRATION_STREAK};
 use crate::model::StateSpaceParams;
 use ices_stats::q_inverse;
 
-pub mod fast;
-
 /// A set of per-peer detectors flattened into SoA columns.
 ///
-/// See the module docs for the exact-tier contract. Typical round trip:
+/// See the module docs for the bit-identity contract. Typical round trip:
 ///
 /// ```
 /// use ices_core::batch::DetectorBank;
@@ -107,33 +96,16 @@ pub struct DetectorBank {
     /// to the numbers.
     memo_alpha_bits: u64,
     memo_q: f64,
-    /// Numeric tier, resolved once at construction (or pinned by
-    /// [`DetectorBank::with_tier`]).
-    fast: bool,
 }
 
 impl DetectorBank {
-    /// An empty bank on the ambient numeric tier
-    /// (`ices_par::fast_enabled()`, resolved once here — not per sweep).
+    /// An empty bank.
     pub fn new() -> Self {
-        // audit:allow(FAST01): the one sanctioned tier-resolution point; the reassociated kernels themselves live in batch/fast.rs
-        Self::with_tier(ices_par::fast_enabled())
-    }
-
-    /// An empty bank with the numeric tier pinned explicitly (tests,
-    /// the equivalence gate).
-    pub fn with_tier(fast: bool) -> Self {
         Self {
             memo_alpha_bits: f64::NAN.to_bits(),
             memo_q: f64::NAN,
-            fast,
             ..Self::default()
         }
-    }
-
-    /// Whether this bank evaluates on the fast (reassociated) tier.
-    pub fn is_fast(&self) -> bool {
-        self.fast
     }
 
     /// Number of gathered slots.
@@ -249,9 +221,6 @@ impl DetectorBank {
         self.assert_fresh("evaluate_all");
         self.assert_aligned("evaluate_all", observations.len());
         self.assert_aligned("evaluate_all", active.len());
-        if self.fast {
-            return fast::evaluate_sweep(self, observations, active);
-        }
         let mut out = Vec::with_capacity(self.len());
         for i in 0..self.len() {
             if !active[i] {
@@ -447,7 +416,7 @@ mod tests {
         let p = params();
         let n = 8;
         let mut scalars: Vec<Detector> = (0..n).map(|_| Detector::new(p, 0.05)).collect();
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         for d in &scalars {
             bank.push(d);
         }
@@ -493,7 +462,7 @@ mod tests {
         for obs in [0.31, 0.27, 0.4] {
             scalar.accept(obs);
         }
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         bank.push(&scalar);
         bank.predict_all();
         for alpha2 in [1e-9, 0.0005, 0.025, 0.3] {
@@ -508,7 +477,7 @@ mod tests {
     fn recalibrate_matches_scalar_and_store_roundtrips() {
         let p = params();
         let mut scalar = Detector::new(p, 0.05);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         bank.push(&scalar);
         // Accumulate some streaks, then recalibrate both sides.
         bank.predict_all();
@@ -531,7 +500,7 @@ mod tests {
     fn starvation_and_recalibration_signals_match_scalar() {
         let p = params();
         let mut scalar = Detector::new(p, 0.05);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         bank.push(&scalar);
         for _ in 0..SAMPLE_STARVATION_LIMIT {
             bank.predict_all();
@@ -548,7 +517,7 @@ mod tests {
     fn clear_keeps_capacity_and_quantile_memo() {
         let p = params();
         let d = Detector::new(p, 0.05);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         bank.push(&d);
         let q = bank.q_half_alpha[0];
         bank.clear();
@@ -566,7 +535,7 @@ mod tests {
     #[should_panic(expected = "requires predict_all")]
     fn evaluate_without_predict_panics() {
         let d = Detector::new(params(), 0.05);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         bank.push(&d);
         let _ = bank.evaluate_all(&[0.3], &[true]);
     }
@@ -575,7 +544,7 @@ mod tests {
     #[should_panic(expected = "observation must be finite")]
     fn evaluate_rejects_non_finite_active_observation() {
         let d = Detector::new(params(), 0.05);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         bank.push(&d);
         bank.predict_all();
         let _ = bank.evaluate_all(&[f64::NAN], &[true]);
@@ -621,7 +590,7 @@ mod tests {
                 let steps = schedule.iter().map(Vec::len).max().unwrap_or(0);
                 let mut scalars: Vec<Detector> =
                     (0..n).map(|_| Detector::new(p, 0.05)).collect();
-                let mut bank = DetectorBank::with_tier(false);
+                let mut bank = DetectorBank::new();
                 for d in &scalars {
                     bank.push(d);
                 }
@@ -692,7 +661,7 @@ mod tests {
     #[test]
     fn inactive_slots_ignore_their_observation_value() {
         let d = Detector::new(params(), 0.05);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         bank.push(&d);
         bank.push(&d);
         bank.predict_all();

@@ -488,7 +488,7 @@ fn vet_column<'e, E: Embedding>(
 /// shape: every participating node tests exactly one peer sample — or
 /// coasts — per tick).
 ///
-/// On the exact tier this is **bit-for-bit** the same as calling
+/// This is **bit-for-bit** the same as calling
 /// [`SecureNode::step`] / [`SecureNode::step_missing`] on each node in
 /// order: the bank runs the identical per-slot f64 recursions (with the
 /// `Q⁻¹(α/2)` factor cached — a pure function, so the product is
@@ -856,7 +856,7 @@ mod tests {
         let mut scalar: Vec<SecureNode<StubEmbedding>> =
             (0..n).map(|i| secure(0.01 + 0.15 * i as f64)).collect();
         let mut batched = scalar.clone();
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         for tick in 0..30 {
             let events: Vec<VetEvent> = (0..n)
                 .map(|i| match (tick + i) % 7 {
@@ -901,7 +901,7 @@ mod tests {
         let mut scalar: Vec<SecureNode<StubEmbedding>> =
             (0..n).map(|i| secure(0.02 + 0.2 * i as f64)).collect();
         let mut batched = scalar.clone();
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         for round in 0..12 {
             let events: Vec<Vec<VetEvent>> = (0..n)
                 .map(|i| {
@@ -1017,7 +1017,7 @@ mod tests {
 
     #[test]
     fn vet_single_handles_empty_node_sets() {
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         let mut refs: Vec<&mut SecureNode<StubEmbedding>> = Vec::new();
         let out = vet_single(&mut bank, &mut refs, &[]);
         assert!(out.is_empty());
@@ -1027,7 +1027,7 @@ mod tests {
     #[should_panic(expected = "one event per node")]
     fn vet_single_rejects_misaligned_events() {
         let mut node = secure(0.1);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         let mut refs = vec![&mut node];
         let _ = vet_single(&mut bank, &mut refs, &[]);
     }

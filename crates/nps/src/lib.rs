@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-mod fast;
 pub mod hierarchy;
 pub mod node;
 pub mod simplex;

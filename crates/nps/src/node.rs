@@ -94,15 +94,12 @@ pub(crate) struct RpTiles {
     heights: Vec<[f64; TILE]>,
     /// Measured RTTs, one tile per block.
     rtts: Vec<[f64; TILE]>,
-    /// Reciprocal RTTs for the fast tier's fused normalize (filled only
-    /// when `ICES_FAST=1`; empty on the exact tier).
-    inv_rtts: Vec<[f64; TILE]>,
 }
 
 impl RpTiles {
     /// Flatten `samples` (all of dimensionality `dims`) into tiles,
     /// reusing the buffers' capacity.
-    pub(crate) fn fill(&mut self, samples: &[PeerSample], dims: usize, fast: bool) {
+    pub(crate) fn fill(&mut self, samples: &[PeerSample], dims: usize) {
         let blocks = samples.len().div_ceil(TILE);
         self.ns = samples.len();
         self.dims = dims;
@@ -125,11 +122,6 @@ impl RpTiles {
             self.heights[block][lane] = s.peer_coord.height();
             self.rtts[block][lane] = s.rtt_ms;
         }
-        self.inv_rtts.clear();
-        if fast {
-            self.inv_rtts
-                .extend(self.rtts.iter().map(|tile| tile.map(|rtt| 1.0 / rtt)));
-        }
     }
 
     /// Live samples.
@@ -140,9 +132,7 @@ impl RpTiles {
     /// The blocks in order: each block's position tiles (one per
     /// dimension), heights, RTTs, and the number of its live lanes.
     #[inline(always)]
-    pub(crate) fn blocks(
-        &self,
-    ) -> impl Iterator<Item = (&[[f64; TILE]], &[f64; TILE], &[f64; TILE], usize)> {
+    fn blocks(&self) -> impl Iterator<Item = (&[[f64; TILE]], &[f64; TILE], &[f64; TILE], usize)> {
         let dims = self.dims;
         self.heights
             .iter()
@@ -152,11 +142,6 @@ impl RpTiles {
                 let pos = &self.pos[b * dims..(b + 1) * dims];
                 (pos, heights, rtts, (self.ns - b * TILE).min(TILE))
             })
-    }
-
-    /// Reciprocal-RTT tiles, one per block (fast tier only).
-    pub(crate) fn inv_rtts(&self) -> &[[f64; TILE]] {
-        &self.inv_rtts
     }
 
     /// The GNP objective: the sum of squared relative errors of
@@ -190,7 +175,7 @@ impl RpTiles {
 /// initializes the lanes outright: a square is never −0.0, so
 /// `0.0 + diff²` is bitwise `diff²`.
 #[inline(always)]
-pub(crate) fn tile_sq(x: &[f64], pos: &[[f64; TILE]]) -> [f64; TILE] {
+fn tile_sq(x: &[f64], pos: &[[f64; TILE]]) -> [f64; TILE] {
     let mut sq = [0.0; TILE];
     let mut rows = x.iter().zip(pos);
     if let Some((&xd, row)) = rows.next() {
@@ -377,17 +362,11 @@ impl NpsNode {
     fn solve(&mut self, samples: &[PeerSample], reuse_trial: bool) -> usize {
         debug_assert!(!samples.is_empty());
         let dims = self.config.space.dims();
-        // Numeric tier, resolved once per solve. On the exact tier every
-        // objective evaluation is bit-for-bit the per-sample scalar op
-        // order; `ICES_FAST=1` swaps in the reassociated kernel from
-        // `crate::fast`.
-        // audit:allow(FAST01): the one sanctioned dispatch point into the fast objective; the kernel itself lives in the fast module
-        let fast = ices_par::fast_enabled();
         let scratch = &mut self.scratch;
         if reuse_trial {
             debug_assert_eq!(scratch.tiles.len(), samples.len());
         } else {
-            scratch.tiles.fill(samples, dims, fast);
+            scratch.tiles.fill(samples, dims);
             scratch.select.clear();
             scratch.select.extend(samples.iter().map(|s| s.rtt_ms));
             scratch.median_rtt = upper_median(&mut scratch.select);
@@ -424,13 +403,7 @@ impl NpsNode {
                 }
             }
             let stats = nm.minimize(
-                |x| {
-                    if fast {
-                        crate::fast::objective_fast(tiles, x)
-                    } else {
-                        tiles.objective(x)
-                    }
-                },
+                |x| tiles.objective(x),
                 start,
                 step,
                 self.config.solver_max_iter,
@@ -649,29 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_tier_solve_recovers_position_too() {
-        // The reassociated kernel must still position correctly — and
-        // deterministically — under ICES_FAST=1.
-        let run = || {
-            ices_par::with_fast(true, || {
-                let mut n = NpsNode::new(0, small_config(), 2);
-                for s in anchors_and_samples(&[30.0, 40.0]) {
-                    n.apply_step(&s);
-                }
-                let summary = n.finish_round().expect("round should complete");
-                assert!(summary.fit_error < 1e-4, "fit = {}", summary.fit_error);
-                n.coordinate().clone()
-            })
-        };
-        let pos = run();
-        assert!(
-            (pos.position()[0] - 30.0).abs() < 1.0 && (pos.position()[1] - 40.0).abs() < 1.0,
-            "recovered {pos:?}"
-        );
-        assert_eq!(pos, run(), "fast tier must be deterministic");
-    }
-
-    #[test]
     fn too_few_samples_skip_the_round() {
         let mut n = NpsNode::new(0, small_config(), 3);
         let before = n.coordinate().clone();
@@ -886,7 +836,7 @@ mod tests {
         ) {
             let (samples, x) = kernel_case(ns, dims, mode, &vals);
             let mut tiles = RpTiles::default();
-            tiles.fill(&samples, dims, false);
+            tiles.fill(&samples, dims);
             let got = tiles.objective(&x);
             let want = scalar_objective(&samples, &x);
             prop_assert_eq!(

@@ -166,7 +166,6 @@ fn reposition_last(order: &mut [usize], values: &[f64]) {
 /// iterations with the spread already below tolerance, each asking this.
 fn diameter_below(simplex: &[f64], best_start: usize, n: usize, tol: f64) -> bool {
     let best_row = &simplex[best_start..best_start + n];
-    // audit:allow(FAST01): row views; a yes/no scan, no arithmetic reduction
     simplex.chunks_exact(n).all(|v| {
         v.iter().zip(best_row).all(|(a, b)| {
             let d = (a - b).abs();
@@ -272,14 +271,12 @@ impl NelderMeadScratch {
         let best_copy = &mut best_copy[..n];
 
         // Initial simplex: x0 plus one axis-step vertex per dimension.
-        // audit:allow(FAST01): row views into the flattened simplex matrix, not a reduction
         for (row, v) in simplex.chunks_exact_mut(n).enumerate() {
             v.copy_from_slice(x0);
             if row > 0 {
                 v[row - 1] += initial_step;
             }
         }
-        // audit:allow(FAST01): row views into the flattened simplex matrix, not a reduction
         for v in simplex.chunks_exact(n) {
             let value = f(v);
             values.push(value);
@@ -315,13 +312,11 @@ impl NelderMeadScratch {
             for c in centroid.iter_mut() {
                 *c = 0.0;
             }
-            // audit:allow(FAST01): row-ascending centroid accumulation, order fixed
             for v in simplex[..worst * n].chunks_exact(n) {
                 for (c, &x) in centroid.iter_mut().zip(v) {
                     *c += x;
                 }
             }
-            // audit:allow(FAST01): row-ascending centroid accumulation, order fixed
             for v in simplex[(worst + 1) * n..].chunks_exact(n) {
                 for (c, &x) in centroid.iter_mut().zip(v) {
                     *c += x;
@@ -369,7 +364,6 @@ impl NelderMeadScratch {
                 } else {
                     // Shrink everything toward the best vertex, in place.
                     best_copy.copy_from_slice(&simplex[best * n..(best + 1) * n]);
-                    // audit:allow(FAST01): row views into the flattened simplex matrix, not a reduction
                     for (i, v) in simplex.chunks_exact_mut(n).enumerate() {
                         if i != best {
                             for (x, &b) in v.iter_mut().zip(best_copy.iter()) {

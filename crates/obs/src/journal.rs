@@ -182,19 +182,6 @@ impl Journal {
         self.write_line();
     }
 
-    /// `tier` line: the numeric tier this run resolved (`"fast"` for
-    /// `ICES_FAST=1`). Emitted right after `meta` and **only** for
-    /// non-default tiers, so exact-tier journals stay byte-identical to
-    /// runs recorded before the tier existed.
-    pub fn tier(&mut self, t: u64, name: &str) {
-        self.line.clear();
-        use std::fmt::Write as _;
-        let _ = write!(self.line, "{{\"t\":{t},\"ev\":\"tier\",\"name\":");
-        push_json_str(&mut self.line, name);
-        self.line.push('}');
-        self.write_line();
-    }
-
     /// `phase` line: a named span of `ticks` ticks ending at `t`.
     pub fn phase(&mut self, t: u64, name: &str, ticks: u64) {
         self.line.clear();

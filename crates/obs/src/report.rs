@@ -52,9 +52,6 @@ pub struct PhaseRow {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunJournal {
     pub meta: Option<Meta>,
-    /// Numeric tier the run declared (`"fast"`); `None` is the exact
-    /// tier — the line is only emitted for non-default tiers.
-    pub tier: Option<String>,
     pub ticks: Vec<TickRow>,
     pub phases: Vec<PhaseRow>,
     /// Discrete events tallied by tag (`evict`, `reject`, ...).
@@ -211,17 +208,6 @@ pub fn parse(text: &str) -> (RunJournal, Vec<String>) {
                     _ => errors.push(format!("line {lineno}: \"tick\" needs object \"g\"")),
                 }
                 run.ticks.push(row);
-            }
-            "tier" => {
-                if saw_data_line || run.tier.is_some() {
-                    errors.push(format!("line {lineno}: duplicate or late \"tier\" line"));
-                }
-                match field(map, "name").and_then(as_str) {
-                    Some(name) => run.tier = Some(name.to_string()),
-                    None => {
-                        errors.push(format!("line {lineno}: \"tier\" needs string \"name\""))
-                    }
-                }
             }
             "phase" => {
                 saw_data_line = true;

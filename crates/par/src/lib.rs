@@ -25,13 +25,6 @@
 //!
 //! Panics inside worker closures propagate to the caller when the
 //! dispatch completes its barrier, so a failing item still fails the run.
-//!
-//! This crate also owns the **numeric tier** knob ([`FAST_ENV`] /
-//! [`fast_enabled`] / [`with_fast`]): the process-wide switch between
-//! the exact tier (bit-for-bit reproducible, the default) and the
-//! opt-in fast tier (reassociated reductions in `fast` modules). It
-//! lives here rather than in a numeric crate because it is resolved the
-//! same way as the worker count and obeys the same override discipline.
 
 // The pool module needs lifetime erasure (as rayon does) and carries the
 // workspace's only sanctioned `unsafe`; everything else in this crate
@@ -49,96 +42,10 @@ type MutTask<'a, T, R> = Mutex<(usize, Option<&'a mut [T]>, Vec<R>)>;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static FAST_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
 /// Name of the environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "ICES_THREADS";
-
-/// Name of the environment variable selecting the fast numeric tier.
-///
-/// `ICES_FAST=1` opts into reassociated chunked reductions in the hot
-/// numeric kernels (the NPS flat objective, the batched detector
-/// threshold test). The fast tier trades the bit-for-bit determinism
-/// contract for throughput: results are still deterministic *per tier*
-/// (fast runs match fast runs exactly), but fast-tier outputs differ
-/// from exact-tier outputs in the low bits. `ICES_FAST=0` (or unset) is
-/// the exact tier.
-pub const FAST_ENV: &str = "ICES_FAST";
-
-/// Parse an `ICES_FAST` value.
-///
-/// Accepts exactly `1` (fast tier) or `0` (exact tier), surrounding
-/// whitespace ignored. Anything else is an error — like
-/// [`parse_threads`], a typo'd configuration is surfaced instead of
-/// silently selecting a numeric tier the operator did not ask for.
-pub fn parse_fast(raw: &str) -> Result<bool, String> {
-    match raw.trim() {
-        "1" => Ok(true),
-        "0" => Ok(false),
-        other => Err(format!(
-            "{FAST_ENV} must be 1 (fast reassociated tier) or 0 (exact tier), got {other:?}"
-        )),
-    }
-}
-
-/// Resolve the numeric tier: [`with_fast`] override, then `ICES_FAST`,
-/// then the exact tier.
-///
-/// An invalid `ICES_FAST` value is reported once on stderr with the
-/// [`parse_fast`] error and then ignored in favor of the exact tier —
-/// the same loud-fallback policy as [`max_threads`], erring toward the
-/// tier whose outputs are covered by the determinism contract.
-pub fn fast_enabled() -> bool {
-    if let Some(fast) = FAST_OVERRIDE.with(Cell::get) {
-        return fast;
-    }
-    if let Ok(raw) = std::env::var(FAST_ENV) {
-        match parse_fast(&raw) {
-            Ok(fast) => return fast,
-            Err(message) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("error: {message}; ignoring it and using the exact tier");
-                });
-            }
-        }
-    }
-    false
-}
-
-/// Run `f` with the numeric tier pinned on this thread (nested calls see
-/// the innermost value). The previous setting is restored even when `f`
-/// panics. Used by the equivalence gate and the fast-tier golden tests
-/// so test binaries don't race on the process environment.
-pub fn with_fast<R>(fast: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FAST_OVERRIDE.with(|cell| cell.set(self.0));
-        }
-    }
-    let _restore = Restore(FAST_OVERRIDE.with(|cell| cell.replace(Some(fast))));
-    f()
-}
-
-/// The dispatching thread's tier override, captured at dispatch time so
-/// pooled workers resolve [`fast_enabled`] exactly as the caller would —
-/// thread-local overrides do not reach persistent pool threads on their
-/// own, and a worker silently falling back to the environment would run
-/// a different numeric tier than the caller pinned.
-fn capture_fast_override() -> Option<bool> {
-    FAST_OVERRIDE.with(Cell::get)
-}
-
-/// Run `f` under the captured tier override (no-op when the dispatcher
-/// had none, leaving the worker's ordinary env resolution in place).
-fn with_captured_fast<R>(saved: Option<bool>, f: impl FnOnce() -> R) -> R {
-    match saved {
-        Some(fast) => with_fast(fast, f),
-        None => f(),
-    }
-}
 
 /// Parse an `ICES_THREADS` value into a worker count.
 ///
@@ -236,17 +143,14 @@ where
     let len = items.len();
     let (chunk_len, partitions) = partition_plan(len, threads);
     let parts: Vec<Mutex<Vec<R>>> = (0..partitions).map(|_| Mutex::new(Vec::new())).collect();
-    let fast = capture_fast_override();
     pool::broadcast(partitions, &|w| {
         let start = w * chunk_len;
         let end = (start + chunk_len).min(len);
-        let out: Vec<R> = with_captured_fast(fast, || {
-            items[start..end]
-                .iter()
-                .enumerate()
-                .map(|(offset, item)| f(start + offset, item))
-                .collect()
-        });
+        let out: Vec<R> = items[start..end]
+            .iter()
+            .enumerate()
+            .map(|(offset, item)| f(start + offset, item))
+            .collect();
         *lock_recovering(&parts[w]) = out;
     });
     let mut result = Vec::with_capacity(len);
@@ -288,18 +192,15 @@ where
         .enumerate()
         .map(|(w, chunk)| Mutex::new((w * chunk_len, Some(chunk), Vec::new())))
         .collect();
-    let fast = capture_fast_override();
     pool::broadcast(tasks.len(), &|w| {
         let mut slot = lock_recovering(&tasks[w]);
         let (base, chunk, out) = &mut *slot;
         if let Some(chunk) = chunk.take() {
-            *out = with_captured_fast(fast, || {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(offset, item)| f(*base + offset, item))
-                    .collect()
-            });
+            *out = chunk
+                .iter_mut()
+                .enumerate()
+                .map(|(offset, item)| f(*base + offset, item))
+                .collect();
         }
     });
     tasks
@@ -359,22 +260,6 @@ where
     let picked = select_disjoint_mut(items, indices);
     let mut paired: Vec<(usize, &mut T)> = indices.iter().copied().zip(picked).collect();
     par_map_mut(&mut paired, |_, (index, item)| f(*index, item))
-}
-
-/// Reproduce the pre-pool dispatch cost: spawn `threads` scoped workers
-/// that do nothing and join them, exactly as the seed `par_map` did per
-/// call. Exists so `bench_tick` can report the pool's per-call dispatch
-/// overhead against the spawn path it replaced; not part of the API.
-#[doc(hidden)]
-pub fn scope_spawn_reference(threads: usize) {
-    if threads <= 1 {
-        return;
-    }
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| std::hint::black_box(0u64));
-        }
-    });
 }
 
 #[cfg(test)]
@@ -537,76 +422,5 @@ mod tests {
         if std::env::var(THREADS_ENV).is_err() {
             assert!(max_threads() >= 1);
         }
-    }
-
-    #[test]
-    fn parse_fast_accepts_exactly_zero_and_one() {
-        assert_eq!(parse_fast("1"), Ok(true));
-        assert_eq!(parse_fast("0"), Ok(false));
-        assert_eq!(parse_fast(" 1\n"), Ok(true), "whitespace is tolerated");
-    }
-
-    #[test]
-    fn parse_fast_rejects_everything_else_with_clear_messages() {
-        for bad in ["", "true", "yes", "2", "-1", "01", "1.0"] {
-            let err = parse_fast(bad).expect_err("invalid value");
-            assert!(
-                err.contains(FAST_ENV) && err.contains("must be 1"),
-                "unclear message for {bad:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_override_propagates_to_pool_workers() {
-        // Tier resolution happens inside worker closures in the NPS
-        // solver; a with_fast pin on the dispatching thread must be
-        // what those closures observe, at any worker count.
-        let items: Vec<usize> = (0..64).collect();
-        let seen = with_fast(true, || {
-            with_threads(4, || par_map(&items, |_, _| fast_enabled()))
-        });
-        assert!(
-            seen.iter().all(|&fast| fast),
-            "a worker resolved the exact tier under a fast-tier pin"
-        );
-        let mut items: Vec<usize> = (0..64).collect();
-        let seen = with_fast(true, || {
-            with_threads(4, || par_map_mut(&mut items, |_, _| fast_enabled()))
-        });
-        assert!(
-            seen.iter().all(|&fast| fast),
-            "a mut worker resolved the exact tier under a fast-tier pin"
-        );
-        // And the pin must not leak into dispatches that did not ask.
-        if std::env::var(FAST_ENV).is_err() {
-            let items: Vec<usize> = (0..64).collect();
-            let seen = with_threads(4, || par_map(&items, |_, _| fast_enabled()));
-            assert!(seen.iter().all(|&fast| !fast), "override leaked");
-        }
-    }
-
-    #[test]
-    fn with_fast_nests_and_restores() {
-        with_fast(true, || {
-            assert!(fast_enabled());
-            with_fast(false, || assert!(!fast_enabled()));
-            assert!(fast_enabled());
-        });
-    }
-
-    #[test]
-    fn fast_defaults_to_exact_without_override() {
-        // Only exercised when the variable is absent from the ambient
-        // environment; the override-based tests above cover the rest.
-        if std::env::var(FAST_ENV).is_err() {
-            assert!(!fast_enabled(), "exact tier must be the default");
-        }
-    }
-
-    #[test]
-    fn scope_spawn_reference_is_callable() {
-        scope_spawn_reference(0);
-        scope_spawn_reference(2);
     }
 }

@@ -106,12 +106,6 @@ impl SimObs {
     /// resets so the first tick line reports changes from now on.
     pub fn enable_journal(&mut self, mut journal: Journal, driver: &str, nodes: usize, seed: u64) {
         journal.meta(self.clock.now(), driver, nodes, seed);
-        // Tier identity: stamped only when the fast tier is active, so
-        // exact-tier journals are byte-identical to pre-tier journals.
-        // audit:allow(FAST01): tier identity read for the journal stamp; no numeric dispatch
-        if ices_par::fast_enabled() {
-            journal.tier(self.clock.now(), "fast");
-        }
         self.last = self.registry.snapshot();
         self.journal = Some(journal);
     }

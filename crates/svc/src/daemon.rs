@@ -177,7 +177,7 @@ impl ServiceCore {
             surveyors: SurveyorRegistry::new(),
             certifier: None,
             node: None,
-            bank: DetectorBank::with_tier(false),
+            bank: DetectorBank::new(),
             journaled: registry.snapshot(),
             registry,
             counters,

@@ -11,11 +11,16 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# The member crates' own unit and integration tests: the root
+# `cargo test` above covers only the `ices` facade package.
+cargo test --workspace -q
+
 # The NPS goldens and the simulation determinism suites again, built
 # with optimisation: the packed objective kernels only exist in
-# optimised code, which the debug `cargo test` above never runs.
+# optimised code, which the debug `cargo test` runs above never reach.
 cargo test --release -q -p ices-nps
-cargo test --release -q -p ices-sim --test determinism --test chaos_determinism --test fast_tier
+cargo test --release -q -p ices-sim --test determinism --test chaos_determinism \
+  --test adversary_determinism --test obs_invariance
 
 # Static analysis: determinism & panic-hygiene invariants (also gated
 # in tier-1 via tests/audit_clean.rs; run here with --json for the
@@ -57,14 +62,6 @@ cargo run -q --release -p ices-bench --bin obs_report -- --check target/obs_smok
 # detection, and sub-threshold slow drift evades (the reported
 # negative result).
 cargo run -q --release -p ices-bench --bin adversary_sweep -- --smoke
-
-# Fast-tier equivalence: the ICES_FAST reassociated tier must stay
-# statistically indistinguishable from the exact tier (TPR/FPR deltas
-# and the chaos-cell median-error band — see crates/bench/src/bin/
-# fast_equiv.rs). Exits nonzero on any breach. Harness scale so the
-# reassociated reductions actually engage (test-scale arrays fall
-# through to the scalar tail and compare bit-identical).
-cargo run -q --release -p ices-bench --bin fast_equiv -- --scale harness --no-json
 
 # Service loopback smoke: an in-process coordinate daemon plus 10k
 # simulated clients driven by loadgen over 127.0.0.1 (two UDP
