@@ -170,6 +170,36 @@ impl Coordinate {
         debug_assert!(self.height >= 0.0, "height clamped below zero");
     }
 
+    /// One spring move away from (or toward) `other`: `self ← self +
+    /// s·u` with `u` = [`Coordinate::direction_from`]`(other)`, computed
+    /// in place. Bit-identical to `apply_force(s, &direction_from(other,
+    /// rng))`: the same f64 op sequence per component, and the same
+    /// random draws on the colocated branch (the only one that
+    /// allocates).
+    ///
+    /// # Panics
+    /// Panics on dimensionality mismatch.
+    pub fn spring_step<R: Rng + ?Sized>(&mut self, other: &Coordinate, s: f64, rng: &mut R) {
+        // `distance` sums `(x − y)²` exactly as `norm(sub(x, y))` does.
+        let norm = vector::distance(&self.position, &other.position);
+        let height = self.height + other.height;
+        let mag = norm + height;
+        if !(mag > 0.0 && norm > 0.0) {
+            let direction = self.direction_from(other, rng);
+            self.apply_force(s, &direction);
+            return;
+        }
+        let inv = 1.0 / mag;
+        for (x, &y) in self.position.iter_mut().zip(&other.position) {
+            *x += s * ((*x - y) * inv);
+        }
+        self.height = (self.height + s * (height * inv).max(0.0)).max(0.0);
+        debug_assert!(
+            self.is_finite(),
+            "coordinate went non-finite under spring force {s}"
+        );
+    }
+
     /// Replace the coordinate wholesale (used when a solver like NPS's
     /// downhill simplex produces a new position).
     pub fn set_position(&mut self, position: Vec<f64>) {
@@ -348,6 +378,36 @@ mod tests {
             let b = Coordinate::new(pb, hb);
             let c = Coordinate::new(pc, hc);
             prop_assert!(a.distance(&c) <= a.distance(&b) + b.distance(&c) + 1e-9);
+        }
+
+        /// Heights on or off, positions apart or colocated, forces of
+        /// either sign: the in-place spring move leaves exactly the
+        /// bits — and the rng state — of the two-step reference.
+        #[test]
+        fn spring_step_matches_direction_then_force(
+            pa in proptest::collection::vec(-100f64..100.0, 3),
+            pb in proptest::collection::vec(-100f64..100.0, 3),
+            ha in 0f64..20.0, hb in 0f64..20.0,
+            shape in 0u8..4,
+            s in -50f64..50.0,
+        ) {
+            // Bit 0: zero heights (a pure Euclidean space); bit 1: the
+            // two positions coincide (the random-direction branch).
+            let (ha, hb) = if shape & 1 == 1 { (0.0, 0.0) } else { (ha, hb) };
+            let a = Coordinate::new(pa, ha);
+            let pb = if shape & 2 == 2 { a.position().to_vec() } else { pb };
+            let b = Coordinate::new(pb, hb);
+            let (mut r1, mut r2) = (rng(), rng());
+            let mut reference = a.clone();
+            let direction = reference.direction_from(&b, &mut r1);
+            reference.apply_force(s, &direction);
+            let mut stepped = a;
+            stepped.spring_step(&b, s, &mut r2);
+            let bits = |c: &Coordinate| {
+                (c.position().iter().map(|x| x.to_bits()).collect::<Vec<_>>(), c.height().to_bits())
+            };
+            prop_assert_eq!(bits(&stepped), bits(&reference));
+            prop_assert_eq!(r1.random::<u64>(), r2.random::<u64>());
         }
 
         #[test]

@@ -25,11 +25,21 @@ use serde::{Deserialize, Serialize};
 /// Panics if `rtt_ms` is not strictly positive (a measured RTT of zero is
 /// a broken measurement, not a valid observation).
 pub fn relative_error(own: &Coordinate, peer: &Coordinate, rtt_ms: f64) -> f64 {
+    relative_error_of(own.distance(peer), rtt_ms)
+}
+
+/// [`relative_error`] of an estimate the caller already computed
+/// (`own.distance(peer)`), so a step that also needs the estimate
+/// measures the distance once.
+///
+/// # Panics
+/// Panics if `rtt_ms` is not strictly positive and finite.
+pub fn relative_error_of(estimated_ms: f64, rtt_ms: f64) -> f64 {
     assert!(
         rtt_ms > 0.0 && rtt_ms.is_finite(),
         "measured RTT must be positive and finite, got {rtt_ms}"
     );
-    (own.distance(peer) - rtt_ms).abs() / rtt_ms
+    (estimated_ms - rtt_ms).abs() / rtt_ms
 }
 
 /// Everything an embedding node learns from one interaction with a peer.

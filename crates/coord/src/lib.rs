@@ -28,5 +28,5 @@ pub mod space;
 pub mod vector;
 
 pub use coordinate::Coordinate;
-pub use embedding::{relative_error, Embedding, PeerSample, StepOutcome};
+pub use embedding::{relative_error, relative_error_of, Embedding, PeerSample, StepOutcome};
 pub use space::Space;

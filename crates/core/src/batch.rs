@@ -36,6 +36,7 @@
 use crate::detector::{Detector, Verdict, SAMPLE_STARVATION_LIMIT};
 use crate::kalman::{RECALIBRATION_BAND, RECALIBRATION_STREAK};
 use crate::model::StateSpaceParams;
+use crate::protocol::ColumnScratch;
 use ices_stats::q_inverse;
 
 /// A set of per-peer detectors flattened into SoA columns.
@@ -96,6 +97,10 @@ pub struct DetectorBank {
     /// to the numbers.
     memo_alpha_bits: u64,
     memo_q: f64,
+    /// Per-column buffers of the protocol's vetting sweeps
+    /// ([`crate::vet_single`], [`crate::vet_sequences`]), kept here so
+    /// their allocations persist across calls.
+    pub(crate) columns: ColumnScratch,
 }
 
 impl DetectorBank {
@@ -218,10 +223,27 @@ impl DetectorBank {
     /// mismatches, or on a non-finite observation for an active slot
     /// (same contract as the scalar path).
     pub fn evaluate_all(&self, observations: &[f64], active: &[bool]) -> Vec<Option<Verdict>> {
+        let mut out = Vec::with_capacity(self.len());
+        self.evaluate_into(observations, active, &mut out);
+        out
+    }
+
+    /// [`DetectorBank::evaluate_all`] into a caller-owned buffer, which
+    /// is cleared first: a sweep that runs every tick reuses one
+    /// allocation.
+    ///
+    /// # Panics
+    /// As [`DetectorBank::evaluate_all`].
+    pub fn evaluate_into(
+        &self,
+        observations: &[f64],
+        active: &[bool],
+        out: &mut Vec<Option<Verdict>>,
+    ) {
         self.assert_fresh("evaluate_all");
         self.assert_aligned("evaluate_all", observations.len());
         self.assert_aligned("evaluate_all", active.len());
-        let mut out = Vec::with_capacity(self.len());
+        out.clear();
         for i in 0..self.len() {
             if !active[i] {
                 out.push(None);
@@ -243,7 +265,6 @@ impl DetectorBank {
                 innovation_variance: self.innov_var[i],
             }));
         }
-        out
     }
 
     /// Incorporate one observation per masked slot — the

@@ -38,6 +38,7 @@ pub mod certify;
 pub mod detector;
 pub mod em;
 pub mod kalman;
+mod ledger;
 pub mod model;
 pub mod protocol;
 pub mod surveyor;

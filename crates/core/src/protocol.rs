@@ -20,10 +20,10 @@
 
 use crate::batch::DetectorBank;
 use crate::detector::{Detector, Verdict};
+use crate::ledger::PeerLedger;
 use crate::model::StateSpaceParams;
 use ices_coord::{Embedding, PeerSample, StepOutcome};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// An invalid [`SecurityConfig`] field.
@@ -157,76 +157,6 @@ pub enum RoundAction {
     /// Too many rejections this round: fetch fresh filter parameters
     /// from the (coordinate-)closest Surveyor.
     RefreshFilter,
-}
-
-/// The rounds in which one peer was last tested and last rejected
-/// (`0`: never; rounds count from 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct PeerRounds {
-    tested: u64,
-    rejected: u64,
-}
-
-/// Per-peer vetting bookkeeping of one [`SecureNode`]: which peers it
-/// has ever tested (the first-time reprieve) and how many distinct
-/// peers the current round tested and rejected (the refresh rule).
-///
-/// One map entry per peer stamped with round numbers, plus two
-/// per-round counters: a step costs one O(log peers) lookup, and
-/// closing a round is O(1) and allocation-free.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PeerLedger {
-    peers: BTreeMap<usize, PeerRounds>,
-    /// The current round, from 1.
-    round: u64,
-    /// Distinct peers tested in the current round.
-    round_tested: usize,
-    /// Distinct peers rejected in the current round.
-    round_rejected: usize,
-}
-
-impl PeerLedger {
-    fn new() -> Self {
-        Self {
-            peers: BTreeMap::new(),
-            round: 1,
-            round_tested: 0,
-            round_rejected: 0,
-        }
-    }
-
-    /// Record a test of `peer`; returns whether it is the first ever.
-    fn test(&mut self, peer: usize) -> bool {
-        let mut first_time = false;
-        let rounds = self.peers.entry(peer).or_insert_with(|| {
-            first_time = true;
-            PeerRounds::default()
-        });
-        if rounds.tested != self.round {
-            rounds.tested = self.round;
-            self.round_tested += 1;
-        }
-        first_time
-    }
-
-    /// Record a rejection of `peer` (tested earlier in the same step).
-    fn reject(&mut self, peer: usize) {
-        let rounds = self.peers.entry(peer).or_default();
-        if rounds.rejected != self.round {
-            rounds.rejected = self.round;
-            self.round_rejected += 1;
-        }
-    }
-
-    /// Close the round: `(distinct peers tested, distinct peers
-    /// rejected)` in it.
-    fn end_round(&mut self) -> (usize, usize) {
-        let counts = (self.round_tested, self.round_rejected);
-        self.round += 1;
-        self.round_tested = 0;
-        self.round_rejected = 0;
-        counts
-    }
 }
 
 /// An embedding node protected by the detection protocol.
@@ -392,13 +322,15 @@ pub enum VetEvent {
     Missing,
 }
 
-/// Reusable per-column buffers for the vetting sweeps.
-#[derive(Debug, Default)]
-struct ColumnScratch {
+/// Reusable per-column buffers for the vetting sweeps, owned by the
+/// caller's [`DetectorBank`] so they persist across calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnScratch {
     obs: Vec<f64>,
     active: Vec<bool>,
     accept: Vec<bool>,
     coast: Vec<bool>,
+    verdicts: Vec<Option<Verdict>>,
 }
 
 impl ColumnScratch {
@@ -443,15 +375,15 @@ fn vet_column<'e, E: Embedding>(
         }
     }
     bank.predict_all();
-    let verdicts = bank.evaluate_all(&scratch.obs, &scratch.active);
-    for i in 0..n {
+    bank.evaluate_into(&scratch.obs, &scratch.active, &mut scratch.verdicts);
+    for (i, node) in nodes.iter_mut().enumerate() {
         let Some(VetEvent::Sample(sample)) = event_of(i) else {
             continue;
         };
         #[allow(clippy::expect_used)] // same contract as the audit:allow below
-        // audit:allow(PANIC01): evaluate_all's contract gives every active slot a verdict; a None here is a bank bug that must fail loudly
-        let verdict = verdicts[i].expect("active slot has a verdict");
-        let node = &mut *nodes[i];
+        // audit:allow(PANIC01): evaluate_into's contract gives every active slot a verdict; a None here is a bank bug that must fail loudly
+        let verdict = scratch.verdicts[i].expect("active slot has a verdict");
+        let node = &mut **node;
         let first_time = node.ledger.test(sample.peer);
         if !verdict.suspicious {
             scratch.accept[i] = true;
@@ -493,17 +425,17 @@ fn vet_column<'e, E: Embedding>(
 /// order: the bank runs the identical per-slot f64 recursions (with the
 /// `Q⁻¹(α/2)` factor cached — a pure function, so the product is
 /// unchanged) and scatters the state back before returning. The `bank`
-/// is caller-owned so its allocations and quantile memo persist across
-/// ticks; it is cleared and refilled here.
+/// is caller-owned so its allocations, sweep buffers and quantile memo
+/// persist across ticks; it is cleared and refilled here.
 ///
-/// Returns one entry per node: `Some(step)` for a `Sample` event,
-/// `None` for `Missing` (which, as in the scalar path, produces no
-/// step outcome).
+/// Calls `sink(i, step)` for node `i`'s `Sample` event, in node order;
+/// a `Missing` event, as in the scalar path, produces no step outcome.
 pub fn vet_single<E: Embedding>(
     bank: &mut DetectorBank,
     nodes: &mut [&mut SecureNode<E>],
     events: &[VetEvent],
-) -> Vec<Option<SecureStep>> {
+    sink: impl FnMut(usize, SecureStep),
+) {
     assert_eq!(
         nodes.len(),
         events.len(),
@@ -515,15 +447,12 @@ pub fn vet_single<E: Embedding>(
     for node in nodes.iter() {
         bank.push(&node.detector);
     }
-    let mut out = vec![None; nodes.len()];
-    let mut scratch = ColumnScratch::default();
-    vet_column(bank, nodes, |i| Some(&events[i]), &mut scratch, |i, step| {
-        out[i] = Some(step);
-    });
+    let mut scratch = std::mem::take(&mut bank.columns);
+    vet_column(bank, nodes, |i| Some(&events[i]), &mut scratch, sink);
+    bank.columns = scratch;
     for (i, node) in nodes.iter_mut().enumerate() {
         bank.store(i, &mut node.detector);
     }
-    out
 }
 
 /// Vet a per-node *sequence* of events in batched column sweeps (the
@@ -532,12 +461,15 @@ pub fn vet_single<E: Embedding>(
 /// node's events run in sequence — bit-for-bit the scalar order — while
 /// the sweep across nodes stays flat.
 ///
-/// Returns, per node, one entry per event (`None` for `Missing`).
+/// Calls `sink(i, k, step)` for event `k` of node `i` when it is a
+/// `Sample` (a `Missing` event produces no step), column by column, so
+/// each node's steps arrive in its event order.
 pub fn vet_sequences<E: Embedding>(
     bank: &mut DetectorBank,
     nodes: &mut [&mut SecureNode<E>],
     events: &[Vec<VetEvent>],
-) -> Vec<Vec<Option<SecureStep>>> {
+    mut sink: impl FnMut(usize, usize, SecureStep),
+) {
     assert_eq!(
         nodes.len(),
         events.len(),
@@ -549,20 +481,18 @@ pub fn vet_sequences<E: Embedding>(
     for node in nodes.iter() {
         bank.push(&node.detector);
     }
-    let mut out: Vec<Vec<Option<SecureStep>>> =
-        events.iter().map(|seq| vec![None; seq.len()]).collect();
     let columns = events.iter().map(Vec::len).max().unwrap_or(0);
-    let mut scratch = ColumnScratch::default();
+    let mut scratch = std::mem::take(&mut bank.columns);
     #[allow(clippy::needless_range_loop)] // k cursors jagged per-node sequences, not one slice
     for k in 0..columns {
         vet_column(bank, nodes, |i| events[i].get(k), &mut scratch, |i, step| {
-            out[i][k] = Some(step);
+            sink(i, k, step);
         });
     }
+    bank.columns = scratch;
     for (i, node) in nodes.iter_mut().enumerate() {
         bank.store(i, &mut node.detector);
     }
-    out
 }
 
 #[cfg(test)]
@@ -882,7 +812,8 @@ mod tests {
                 })
                 .collect();
             let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
-            let batched_steps = vet_single(&mut bank, &mut refs, &events);
+            let mut batched_steps = vec![None; n];
+            vet_single(&mut bank, &mut refs, &events, |i, step| batched_steps[i] = Some(step));
             assert_eq!(scalar_steps, batched_steps, "tick {tick}");
         }
         for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
@@ -930,7 +861,11 @@ mod tests {
                 })
                 .collect();
             let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
-            let batched_steps = vet_sequences(&mut bank, &mut refs, &events);
+            let mut batched_steps: Vec<Vec<Option<SecureStep>>> =
+                events.iter().map(|seq| vec![None; seq.len()]).collect();
+            vet_sequences(&mut bank, &mut refs, &events, |i, k, step| {
+                batched_steps[i][k] = Some(step);
+            });
             assert_eq!(scalar_steps, batched_steps, "round {round}");
             for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
                 assert_eq!(s.end_round(), b.end_round(), "round {round} node {i}");
@@ -1019,8 +954,9 @@ mod tests {
     fn vet_single_handles_empty_node_sets() {
         let mut bank = DetectorBank::new();
         let mut refs: Vec<&mut SecureNode<StubEmbedding>> = Vec::new();
-        let out = vet_single(&mut bank, &mut refs, &[]);
-        assert!(out.is_empty());
+        let mut steps = 0;
+        vet_single(&mut bank, &mut refs, &[], |_, _| steps += 1);
+        assert_eq!(steps, 0);
     }
 
     #[test]
@@ -1029,6 +965,6 @@ mod tests {
         let mut node = secure(0.1);
         let mut bank = DetectorBank::new();
         let mut refs = vec![&mut node];
-        let _ = vet_single(&mut bank, &mut refs, &[]);
+        vet_single(&mut bank, &mut refs, &[], |_, _| {});
     }
 }

@@ -250,23 +250,15 @@ impl FaultPlan {
     /// [`crate::Network::measure_rtt`], and drawn from a dedicated
     /// stream, so fault injection never perturbs measurement noise.
     pub fn probe_fate(&self, seed: u64, a: usize, b: usize, nonce: u64) -> Option<ProbeOutcome> {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.link_fate(self.link_key(seed, lo, hi), nonce)
-    }
-
-    /// The link-fault stream key of the pair `lo < hi`, computed once per
-    /// pair so that [`FaultPlan::link_fate`] costs one hash per probe.
-    /// Zero (never read) when the plan has no link faults.
-    pub fn link_key(&self, seed: u64, lo: usize, hi: usize) -> u64 {
         if self.link.is_empty() {
-            return 0;
+            return None;
         }
-        let pair_key = derive((lo as u64) << 32 | hi as u64, streams::FALT);
-        derive(derive(seed, streams::FALT), pair_key)
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        self.link_fate(link_key(seed, lo, hi), nonce)
     }
 
-    /// [`FaultPlan::probe_fate`] of the pair whose
-    /// [`FaultPlan::link_key`] is `link_key`.
+    /// [`FaultPlan::probe_fate`] of the pair whose link-fault stream
+    /// key is `link_key` (see [`crate::ProbeKey`]).
     pub fn link_fate(&self, link_key: u64, nonce: u64) -> Option<ProbeOutcome> {
         if self.link.is_empty() {
             return None;
@@ -280,6 +272,15 @@ impl FaultPlan {
             None
         }
     }
+}
+
+/// The link-fault stream key of the pair `lo < hi`, computed once per
+/// pair so that [`FaultPlan::link_fate`] costs one hash per probe. It
+/// depends on the seed and the pair only, never on the plan, so a key
+/// cached before a plan is attached stays valid under any plan.
+pub(crate) fn link_key(seed: u64, lo: usize, hi: usize) -> u64 {
+    let pair_key = derive((lo as u64) << 32 | hi as u64, streams::FALT);
+    derive(derive(seed, streams::FALT), pair_key)
 }
 
 /// Map a hashed `u64` to a uniform value in `[0, 1)`.

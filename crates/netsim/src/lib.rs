@@ -48,7 +48,7 @@ pub use eclipse::EclipsePlan;
 pub use faults::{ChurnModel, FaultPlan, LinkFaults, ProbeOutcome};
 pub use fluctuation::{FluctuationModel, NoiseProfile};
 pub use kinggen::{KingConfig, Placement, RegionLayout};
-pub use network::{Network, ProbePair};
+pub use network::{Network, ProbeKey, ProbePair};
 pub use planetlab::PlanetLabConfig;
 pub use rtt::{RttSource, RttStore, SynthRtt};
 pub use topology::RttMatrix;

@@ -6,7 +6,7 @@
 //! same nonce reproduces the same value, and experiment results never
 //! depend on the order in which nodes happen to probe.
 
-use crate::faults::{FaultPlan, ProbeOutcome};
+use crate::faults::{link_key, FaultPlan, ProbeOutcome};
 use crate::fluctuation::{FluctuationModel, NoiseProfile};
 use crate::kinggen::{KingConfig, Topology};
 use crate::planetlab::PlanetLab;
@@ -311,32 +311,65 @@ impl Network {
     /// # Panics
     /// Panics if `a == b` or either index is out of range.
     pub fn pair(&self, a: usize, b: usize) -> ProbePair<'_> {
-        assert!(a != b, "a node cannot probe itself");
-        self.pair_with_base(a, b, self.rtt.base_rtt(a, b))
+        self.pair_from_key(a, b, self.probe_key(a, b))
     }
 
-    /// [`Network::pair`] with a base RTT the caller already holds (a
-    /// simulation driver that keeps each neighbor's base RTT beside its
-    /// id skips the O(n²) store read). `base` must be exactly
-    /// [`Network::base_rtt`]`(a, b)`; debug builds check it.
+    /// The setup of the probe pair `(a, b)` as plain values: a
+    /// simulation driver keeps one beside each neighbour id and builds
+    /// each step's [`ProbePair`] from it with [`Network::keyed_pair`],
+    /// skipping the base-RTT store read and the key hashes. The key
+    /// depends on the seed, the topology and the pair only; attaching a
+    /// fault plan never makes it stale.
     ///
     /// # Panics
     /// Panics if `a == b` or either index is out of range.
-    pub fn pair_with_base(&self, a: usize, b: usize, base: f64) -> ProbePair<'_> {
+    pub fn probe_key(&self, a: usize, b: usize) -> ProbeKey {
+        assert!(a != b, "a node cannot probe itself");
+        self.probe_key_with_base(a, b, self.rtt.base_rtt(a, b))
+    }
+
+    /// [`Network::probe_key`] with a base RTT the caller already holds
+    /// (neighbour selection has every candidate's). `base` must be
+    /// exactly [`Network::base_rtt`]`(a, b)`; debug builds check it.
+    ///
+    /// # Panics
+    /// Panics if `a == b` or either index is out of range.
+    pub fn probe_key_with_base(&self, a: usize, b: usize, base: f64) -> ProbeKey {
         assert!(a != b, "a node cannot probe itself");
         debug_assert_eq!(
             base.to_bits(),
             self.rtt.base_rtt(a, b).to_bits(),
-            "cached base RTT of ({a}, {b}) is stale"
+            "base RTT of ({a}, {b}) is stale"
         );
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let pair_key = derive((lo as u64) << 32 | hi as u64, streams::PROB); // "PROB"
-        ProbePair {
-            network: self,
+        ProbeKey {
             base,
             noise_key: derive(self.seed, pair_key),
+            link_key: link_key(self.seed, lo, hi),
+        }
+    }
+
+    /// The probe pair `(a, b)` from its cached [`ProbeKey`]. Debug
+    /// builds check the key against a fresh [`Network::probe_key`].
+    ///
+    /// # Panics
+    /// Panics if `a == b` or either index is out of range.
+    pub fn keyed_pair(&self, a: usize, b: usize, key: ProbeKey) -> ProbePair<'_> {
+        assert!(a != b, "a node cannot probe itself");
+        debug_assert_eq!(
+            key,
+            self.probe_key(a, b),
+            "cached probe key of ({a}, {b}) is stale"
+        );
+        self.pair_from_key(a, b, key)
+    }
+
+    fn pair_from_key(&self, a: usize, b: usize, key: ProbeKey) -> ProbePair<'_> {
+        ProbePair {
+            network: self,
+            key,
             profile: self.combined_profile(a, b),
-            link_key: self.faults.link_key(self.seed, lo, hi),
         }
     }
 
@@ -427,25 +460,35 @@ impl Network {
     }
 }
 
-/// One probe pair of a [`Network`], set up once by [`Network::pair`]:
-/// every measurement between the two nodes — single, smoothed, gated
-/// or not — is drawn from here, bit-identical to the per-call APIs.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbePair<'n> {
-    network: &'n Network,
+/// The per-pair setup of a probe, as plain `Copy` values (see
+/// [`Network::probe_key`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeKey {
     base: f64,
     /// `derive(seed, pair_key)`: the pair's measurement-noise stream.
     noise_key: u64,
-    profile: &'n NoiseProfile,
-    /// The pair's link-fault stream (see [`FaultPlan::link_key`]).
+    /// The pair's link-fault stream, computed whatever the fault plan.
     link_key: u64,
+}
+
+/// One probe pair of a [`Network`], set up once by [`Network::pair`]
+/// or [`Network::keyed_pair`]: every measurement between the two nodes
+/// — single, smoothed, gated or not — is drawn from here, bit-identical
+/// to the per-call APIs.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbePair<'n> {
+    network: &'n Network,
+    key: ProbeKey,
+    profile: &'n NoiseProfile,
 }
 
 impl ProbePair<'_> {
     /// One probe at `nonce` ([`Network::measure_rtt`]).
     pub fn measure(&self, nonce: u64) -> f64 {
-        let mut rng = stream_rng(self.noise_key, nonce);
-        self.network.noise.measure(self.base, self.profile, &mut rng)
+        let mut rng = stream_rng(self.key.noise_key, nonce);
+        self.network
+            .noise
+            .measure(self.key.base, self.profile, &mut rng)
     }
 
     /// The median of three probes at nonces `3·nonce .. 3·nonce+3`
@@ -463,7 +506,7 @@ impl ProbePair<'_> {
     /// `nonce` gets through, else its failure. Endpoint liveness is the
     /// caller's to check (see [`Network::fill_up_mask`]).
     pub fn link_fate(&self, nonce: u64) -> Option<ProbeOutcome> {
-        self.network.faults.link_fate(self.link_key, nonce)
+        self.network.faults.link_fate(self.key.link_key, nonce)
     }
 
     /// A smoothed probe through the link-fault gate (endpoint liveness
@@ -690,8 +733,12 @@ mod tests {
                 );
                 let expected = reference_smoothed(&net, a, b, nonce).to_bits();
                 assert_eq!(net.measure_rtt_smoothed(a, b, nonce).to_bits(), expected);
-                let base = net.base_rtt(a, b);
-                assert_eq!(net.pair_with_base(a, b, base).smoothed(nonce).to_bits(), expected);
+                let key = net.probe_key_with_base(a, b, net.base_rtt(a, b));
+                assert_eq!(key, net.probe_key(a, b));
+                assert_eq!(
+                    net.keyed_pair(a, b, key).smoothed(nonce).to_bits(),
+                    expected
+                );
                 assert_eq!(
                     net.try_measure_rtt_smoothed(a, b, nonce, 0).ok().map(f64::to_bits),
                     Some(expected)
@@ -723,7 +770,8 @@ mod tests {
                 // the link gate alone on a pair set up once.
                 net.fill_up_mask(tick, &mut up);
                 let driven = if up[a] && up[b] {
-                    net.pair_with_base(a, b, net.base_rtt(a, b)).try_smoothed(nonce)
+                    net.keyed_pair(a, b, net.probe_key(a, b))
+                        .try_smoothed(nonce)
                 } else {
                     ProbeOutcome::TimedOut
                 };
@@ -743,6 +791,36 @@ mod tests {
             ok > 1000 && lost > 100 && timed_out > 100,
             "{ok} ok, {lost} lost, {timed_out} timed out"
         );
+    }
+
+    /// A cached key stays valid whatever plan is attached, before or
+    /// after the key was taken: it never encodes the plan.
+    #[test]
+    fn probe_keys_do_not_depend_on_the_fault_plan() {
+        use crate::faults::{ChurnModel, FaultPlan};
+        let plan = FaultPlan::lossy(0.1, 0.025).with_churn(ChurnModel::new(16, 0.05));
+        let mut net = network();
+        let cases: Vec<_> = probe_cases(net.len(), 500).collect();
+        let keys: Vec<ProbeKey> = cases.iter().map(|&(a, b, _)| net.probe_key(a, b)).collect();
+        net.set_fault_plan(plan.clone());
+        let mut planned_first = network();
+        planned_first.set_fault_plan(plan);
+        for (&(a, b, nonce), &key) in cases.iter().zip(&keys) {
+            assert_eq!(
+                key,
+                net.probe_key(a, b),
+                "plan set after the key ({a}, {b})"
+            );
+            assert_eq!(
+                key,
+                planned_first.probe_key(a, b),
+                "plan set first ({a}, {b})"
+            );
+            assert_eq!(
+                net.keyed_pair(a, b, key).try_smoothed(nonce),
+                net.pair(a, b).try_smoothed(nonce)
+            );
+        }
     }
 
     #[test]

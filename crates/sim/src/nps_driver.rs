@@ -33,7 +33,7 @@ use ices_core::{
     calibrate, vet_sequences, DetectorBank, EmConfig, SecureNode, SecureStep, SecurityConfig,
     StateSpaceParams, SurveyorInfo, SurveyorRegistry, VetEvent,
 };
-use ices_netsim::{FaultPlan, Network, ProbeOutcome};
+use ices_netsim::{FaultPlan, Network, ProbeKey, ProbeOutcome};
 use ices_nps::{Hierarchy, NpsConfig, NpsNode, Role};
 use ices_stats::rng::{derive, derive2, SimRng};
 use ices_stats::sample::sample_indices;
@@ -139,6 +139,11 @@ pub struct NpsSimulation {
     /// Effective per-node reference-point sets (Surveyors' sets are
     /// restricted to trusted nodes).
     reference_points: Vec<Vec<usize>>,
+    /// The probe key of each reference point, slot for slot beside
+    /// `reference_points`. Kept in step by
+    /// [`NpsSimulation::set_reference_point`], the only RP writer after
+    /// construction.
+    rp_keys: Vec<Vec<ProbeKey>>,
     surveyors: BTreeSet<usize>,
     malicious: BTreeSet<usize>,
     participants: Vec<Participant>,
@@ -320,6 +325,11 @@ impl NpsSimulation {
             }
         }
 
+        let rp_keys = reference_points
+            .iter()
+            .enumerate()
+            .map(|(node, rps)| rps.iter().map(|&rp| network.probe_key(node, rp)).collect())
+            .collect();
         let participants = (0..n)
             .map(|id| Participant::Plain(NpsNode::new(id, nps, seed)))
             .collect();
@@ -334,6 +344,7 @@ impl NpsSimulation {
             network,
             hierarchy,
             reference_points,
+            rp_keys,
             surveyors,
             malicious,
             participants,
@@ -529,6 +540,7 @@ impl NpsSimulation {
 
         let network = &self.network;
         let reference_points = &self.reference_points;
+        let rp_keys = &self.rp_keys;
         let registry = &self.registry;
         let snapshot = &self.snapshot;
         let faulty = !network.fault_plan().is_empty();
@@ -542,8 +554,9 @@ impl NpsSimulation {
                 return effect;
             }
             for (k, &rp) in reference_points[node].iter().enumerate() {
+                let link = network.keyed_pair(node, rp, rp_keys[node][k]);
                 let rtt = if !faulty {
-                    network.pair(node, rp).smoothed(probe_nonce(round, node, k))
+                    link.smoothed(probe_nonce(round, node, k))
                 } else {
                     let mut measured = None;
                     if !up[rp] {
@@ -553,7 +566,6 @@ impl NpsSimulation {
                         // gate decides each attempt. Bounded
                         // deterministic backoff: immediate re-probes
                         // under fresh retry-stream nonces.
-                        let link = network.pair(node, rp);
                         let mut fate = ProbeFate::Lost;
                         for attempt in 0..=PROBE_RETRIES {
                             match link.try_smoothed(retry_nonce(round, node, k, attempt)) {
@@ -683,27 +695,25 @@ impl NpsSimulation {
                             }
                         })
                         .collect();
-                let all_steps = vet_sequences(&mut self.bank, &mut secured, &node_events);
-                for (i, steps) in all_steps.into_iter().enumerate() {
+                // Each node's steps arrive in its probe order, so its
+                // effect lists fill exactly as a per-node loop would.
+                vet_sequences(&mut self.bank, &mut secured, &node_events, |i, k, step| {
                     let effect = &mut effects[vet_slots[i]];
-                    for (k, step) in steps.into_iter().enumerate() {
-                        let Some(step) = step else { continue };
-                        effect.vetted.push((node_labels[i][k], !step.accepted()));
-                        match &step {
-                            SecureStep::Accepted { outcome, .. } => {
-                                effect.recorded.push(outcome.relative_error);
-                            }
-                            SecureStep::Reprieved { .. } => {
-                                effect.reprieves += 1;
-                            }
-                            SecureStep::Rejected { .. } => {
-                                if let VetEvent::Sample(sample) = &node_events[i][k] {
-                                    effect.rejected_rps.push(sample.peer);
-                                }
+                    effect.vetted.push((node_labels[i][k], !step.accepted()));
+                    match &step {
+                        SecureStep::Accepted { outcome, .. } => {
+                            effect.recorded.push(outcome.relative_error);
+                        }
+                        SecureStep::Reprieved { .. } => {
+                            effect.reprieves += 1;
+                        }
+                        SecureStep::Rejected { .. } => {
+                            if let VetEvent::Sample(sample) = &node_events[i][k] {
+                                effect.rejected_rps.push(sample.peer);
                             }
                         }
                     }
-                }
+                });
             }
         }
 
@@ -861,9 +871,21 @@ impl NpsSimulation {
             return; // No fresh trusted node available: keep the dead RP.
         }
         let candidate = pool[self.rng.random_range(0..pool.len())];
-        if let Some(slot) = self.reference_points[node].iter_mut().find(|p| **p == dead) {
-            *slot = candidate;
+        self.swap_reference_point(node, dead, candidate);
+    }
+
+    /// Put `new` in the slot `old` holds in `node`'s reference-point set.
+    fn swap_reference_point(&mut self, node: usize, old: usize, new: usize) {
+        if let Some(slot) = self.reference_points[node].iter().position(|&p| p == old) {
+            self.set_reference_point(node, slot, new);
         }
+    }
+
+    /// Put `rp` in `node`'s reference-point `slot`, with its probe key
+    /// beside it.
+    fn set_reference_point(&mut self, node: usize, slot: usize, rp: usize) {
+        self.reference_points[node][slot] = rp;
+        self.rp_keys[node][slot] = self.network.probe_key(node, rp);
     }
 
     /// Swap a rejected reference point for another serving node of the
@@ -886,12 +908,7 @@ impl NpsSimulation {
             return;
         }
         let replacement = candidates[self.rng.random_range(0..candidates.len())];
-        if let Some(slot) = self.reference_points[node]
-            .iter_mut()
-            .find(|p| **p == rejected)
-        {
-            *slot = replacement;
-        }
+        self.swap_reference_point(node, rejected, replacement);
     }
 
     /// Run `rounds` full positioning rounds: landmarks first, then each
@@ -1261,6 +1278,37 @@ mod tests {
         }
         // Whether or not the conspiracy activated, honest steps must flow.
         assert!(c.negatives() > 0);
+    }
+
+    /// The cached per-slot probe keys must equal a fresh derivation
+    /// after rejection replacements and dead-RP evictions.
+    #[test]
+    fn rp_keys_track_every_replacement() {
+        use ices_netsim::ChurnModel;
+        let assert_in_step = |sim: &NpsSimulation, when: &str| {
+            for node in 0..sim.len() {
+                for (slot, &rp) in sim.reference_points[node].iter().enumerate() {
+                    assert_eq!(
+                        sim.rp_keys[node][slot],
+                        sim.network.probe_key(node, rp),
+                        "{when}: node {node} slot {slot}"
+                    );
+                }
+            }
+        };
+        let mut sim = build(6);
+        assert_in_step(&sim, "after construction");
+        sim.set_fault_plan(FaultPlan::lossy(0.2, 0.1).with_churn(ChurnModel::new(2, 0.3)));
+        sim.run_clean(5);
+        sim.calibrate_surveyors(&EmConfig::default());
+        sim.arm_detection();
+        let mut attack = NpsCollusionAttack::new(sim.malicious().iter().copied(), 2, 3.0, 0.5, 9);
+        attack.observe_hierarchy(&sim.serving_map(), &sim.layer_members());
+        sim.run(3, &attack, false);
+        let report = sim.report();
+        assert!(report.faults.evictions > 0, "dead RPs should be evicted");
+        assert!(report.replacements > 0, "rejected RPs should be replaced");
+        assert_in_step(&sim, "after the attack");
     }
 
     #[test]

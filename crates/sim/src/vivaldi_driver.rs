@@ -38,7 +38,7 @@ use ices_core::{
     calibrate, vet_single, CalibrationOutcome, DetectorBank, EmConfig, SecureNode, SecureStep,
     SecurityConfig, StateSpaceParams, SurveyorInfo, SurveyorRegistry, VetEvent,
 };
-use ices_netsim::{EclipsePlan, FaultPlan, Network, ProbeOutcome};
+use ices_netsim::{EclipsePlan, FaultPlan, Network, ProbeKey, ProbeOutcome};
 use ices_stats::kmeans::kmeans;
 use ices_stats::rng::{derive, derive2, SimRng};
 use ices_stats::sample::sample_indices;
@@ -173,10 +173,11 @@ pub struct VivaldiSimulation {
     surveyors: BTreeSet<usize>,
     malicious: BTreeSet<usize>,
     neighbors: Vec<Vec<usize>>,
-    /// Base RTT to each neighbor, slot for slot beside `neighbors`, so
-    /// a step's probe skips the O(n²) base-RTT store. Kept in step by
+    /// The probe key of each neighbor, slot for slot beside
+    /// `neighbors`, so a step's probe skips the O(n²) base-RTT store
+    /// and the pair hashes. Kept in step by
     /// [`VivaldiSimulation::set_neighbor`], the only neighbor writer.
-    neighbor_base: Vec<Vec<f64>>,
+    neighbor_keys: Vec<Vec<ProbeKey>>,
     participants: Vec<Participant>,
     registry: SurveyorRegistry,
     traces: Vec<TraceRing>,
@@ -215,21 +216,29 @@ pub struct VivaldiSimulation {
     bank: DetectorBank,
 }
 
-/// The probe nonce for `node`'s embedding step in tick `tick` — a pure
-/// function of the pair, so concurrent workers need no shared counter.
-fn step_nonce(tick: u64, node: usize) -> u64 {
-    derive2(streams::STEP, tick, node as u64)
-}
+/// The probe nonces of one tick. The nonce of retry `attempt` of
+/// `node`'s step is `derive2(stream, tick, node)`: a pure function of
+/// the triple, so concurrent workers need no shared counter. Attempt 0
+/// draws from the `STEP` stream — the clean-network nonce, so an empty
+/// fault plan reproduces seed behavior bit for bit; later attempts
+/// draw from disjoint `RTRY` retry streams. The per-tick half of each
+/// derivation is done once here, leaving one hash per probe.
+struct TickNonces([u64; PROBE_RETRIES as usize + 1]);
 
-/// The probe nonce for retry `attempt` of `node`'s step in `tick`.
-/// Attempt 0 is exactly [`step_nonce`] — the clean-network nonce — so an
-/// empty fault plan reproduces seed behavior bit for bit; later attempts
-/// draw from a disjoint retry stream.
-fn retry_nonce(tick: u64, node: usize, attempt: u32) -> u64 {
-    if attempt == 0 {
-        step_nonce(tick, node)
-    } else {
-        derive2(derive(streams::RTRY, attempt as u64), tick, node as u64)
+impl TickNonces {
+    fn new(tick: u64) -> Self {
+        Self(std::array::from_fn(|attempt| {
+            let stream = if attempt == 0 {
+                streams::STEP
+            } else {
+                derive(streams::RTRY, attempt as u64)
+            };
+            derive(stream, tick)
+        }))
+    }
+
+    fn nonce(&self, node: usize, attempt: u32) -> u64 {
+        derive(self.0[attempt as usize], node as u64)
     }
 }
 
@@ -311,7 +320,7 @@ impl VivaldiSimulation {
         // per node instead of O(n²) total. Both paper-scale populations
         // sit below the cap, so their candidate pools are the full scan.
         let mut neighbors = Vec::with_capacity(n);
-        let mut neighbor_base = Vec::with_capacity(n);
+        let mut neighbor_keys = Vec::with_capacity(n);
         for node in 0..n {
             let candidates: Vec<(usize, f64)> =
                 if surveyors.contains(&node) || config.embed_against_surveyors_only {
@@ -344,13 +353,15 @@ impl VivaldiSimulation {
             // Every pool above is in ascending id order, so a binary
             // search finds each chosen peer's base RTT among the
             // candidates instead of re-reading the O(n²) store.
-            neighbor_base.push(
+            neighbor_keys.push(
                 chosen
                     .iter()
-                    .map(|&p| match candidates.binary_search_by_key(&p, |&(id, _)| id) {
-                        Ok(i) => candidates[i].1,
-                        Err(_) => network.base_rtt(node, p),
-                    })
+                    .map(
+                        |&p| match candidates.binary_search_by_key(&p, |&(id, _)| id) {
+                            Ok(i) => network.probe_key_with_base(node, p, candidates[i].1),
+                            Err(_) => network.probe_key(node, p),
+                        },
+                    )
                     .collect(),
             );
             neighbors.push(chosen);
@@ -372,7 +383,7 @@ impl VivaldiSimulation {
             surveyors,
             malicious,
             neighbors,
-            neighbor_base,
+            neighbor_keys,
             participants,
             registry: SurveyorRegistry::new(),
             traces: vec![TraceRing::with_capacity(TRACE_CAP); n],
@@ -568,7 +579,7 @@ impl VivaldiSimulation {
     /// node mutates only itself); phase 3 merges the returned
     /// [`StepEffect`]s in node order, applying trace appends, confusion
     /// counts and neighbor replacements. Probe nonces come from
-    /// [`step_nonce`], so no phase depends on execution order and the
+    /// [`TickNonces`], so no phase depends on execution order and the
     /// tick is bit-for-bit reproducible at any worker count.
     fn tick(&mut self, slot: usize, adversary: &dyn Adversary, collect_traces: bool) {
         let tick = self.tick;
@@ -592,7 +603,8 @@ impl VivaldiSimulation {
 
         let network = &self.network;
         let neighbors = &self.neighbors;
-        let neighbor_base = &self.neighbor_base;
+        let neighbor_keys = &self.neighbor_keys;
+        let nonces = TickNonces::new(tick);
         let snapshot = &self.snapshot;
         let faulty = !network.fault_plan().is_empty();
         if faulty {
@@ -614,9 +626,9 @@ impl VivaldiSimulation {
                 return effect;
             }
             let peer = neighbors[node][slot];
-            let base = neighbor_base[node][slot];
+            let link = network.keyed_pair(node, peer, neighbor_keys[node][slot]);
             let rtt = if !faulty {
-                network.pair_with_base(node, peer, base).smoothed(step_nonce(tick, node))
+                link.smoothed(nonces.nonce(node, 0))
             } else {
                 let mut measured = None;
                 if !up[peer] {
@@ -626,10 +638,9 @@ impl VivaldiSimulation {
                     // decides each attempt. Bounded deterministic
                     // backoff: immediate re-probes under fresh
                     // retry-stream nonces, capped per tick.
-                    let link = network.pair_with_base(node, peer, base);
                     let mut fate = ProbeFate::Lost;
                     for attempt in 0..=PROBE_RETRIES {
-                        match link.try_smoothed(retry_nonce(tick, node, attempt)) {
+                        match link.try_smoothed(nonces.nonce(node, attempt)) {
                             ProbeOutcome::Ok(r) => {
                                 measured = Some(r);
                                 effect.retried = attempt > 0;
@@ -660,15 +671,22 @@ impl VivaldiSimulation {
                     }
                 }
             };
-            // Materialize only the two coordinates this step touches;
-            // the honest path then *moves* the peer coordinate into the
-            // sample instead of cloning it a second time.
+            // Materialize only the peer coordinate; the honest path then
+            // *moves* it into the sample instead of cloning it again. The
+            // victim's own coordinate is read live: a node mutates only
+            // itself, and only after this point, so it still equals its
+            // snapshot bit for bit.
             let peer_coord = snapshot.coordinate(peer);
             let peer_error = snapshot.error(peer);
-            let node_coord = snapshot.coordinate(node);
-
-            let tampered =
-                adversary.intercept(peer, node, tick, &peer_coord, peer_error, rtt, &node_coord);
+            let tampered = adversary.intercept(
+                peer,
+                node,
+                tick,
+                &peer_coord,
+                peer_error,
+                rtt,
+                participant.coordinate(),
+            );
             let label_malicious = tampered.is_some();
             let sample = match tampered {
                 Some(mut t) => {
@@ -807,9 +825,7 @@ impl VivaldiSimulation {
                             }
                         })
                         .collect();
-                let steps = vet_single(&mut self.bank, &mut secured, &events);
-                for (k, step) in steps.into_iter().enumerate() {
-                    let Some(step) = step else { continue };
+                vet_single(&mut self.bank, &mut secured, &events, |k, step| {
                     let effect = &mut effects[vet_nodes[k]];
                     effect.vetted = Some((labels[k], !step.accepted()));
                     match &step {
@@ -825,7 +841,7 @@ impl VivaldiSimulation {
                             }
                         }
                     }
-                }
+                });
             }
         }
 
@@ -910,12 +926,12 @@ impl VivaldiSimulation {
         self.obs.tick_boundary(tick);
     }
 
-    /// Put `peer` in `node`'s neighbor `slot`, with its base RTT beside
-    /// it. Every neighbor change (replacement, dead-peer eviction,
-    /// eclipse poisoning) goes through here.
+    /// Put `peer` in `node`'s neighbor `slot`, with its probe key
+    /// beside it. Every neighbor change (replacement, dead-peer
+    /// eviction, eclipse poisoning) goes through here.
     fn set_neighbor(&mut self, node: usize, slot: usize, peer: usize) {
         self.neighbors[node][slot] = peer;
-        self.neighbor_base[node][slot] = self.network.base_rtt(node, peer);
+        self.neighbor_keys[node][slot] = self.network.probe_key(node, peer);
     }
 
     /// Put `new` in the slot `old` holds in `node`'s neighbor set.
@@ -1556,9 +1572,10 @@ mod tests {
         );
     }
 
-    /// The cached per-slot base RTTs must equal the store's after every
-    /// kind of neighbor change: eclipse poisoning, rejection
-    /// replacements and dead-peer evictions.
+    /// The cached per-slot probe keys (base RTT included) must equal a
+    /// fresh derivation after every kind of neighbor change — eclipse
+    /// poisoning, rejection replacements and dead-peer evictions — and
+    /// after a fault plan is attached or detached.
     #[test]
     fn neighbor_base_rtts_track_every_neighbor_change() {
         use ices_netsim::ChurnModel;
@@ -1572,13 +1589,14 @@ mod tests {
             for node in 0..sim.len() {
                 for (slot, &peer) in sim.neighbors[node].iter().enumerate() {
                     assert_eq!(
-                        sim.neighbor_base[node][slot].to_bits(),
-                        sim.network.base_rtt(node, peer).to_bits(),
+                        sim.neighbor_keys[node][slot],
+                        sim.network.probe_key(node, peer),
                         "{when}: node {node} slot {slot}"
                     );
                 }
             }
         };
+        assert_in_step(&sim, "after construction");
         let before: Vec<Vec<usize>> = sim.neighbors.clone();
         let victims: Vec<usize> = sim.normal_nodes().into_iter().take(10).collect();
         let attackers: Vec<usize> = sim.malicious().iter().copied().collect();
@@ -1591,6 +1609,7 @@ mod tests {
                 .with_churn(ChurnModel::new(8, 0.1))
                 .with_node_churn(dead, ChurnModel::permanent_outage()),
         );
+        assert_in_step(&sim, "after attaching the fault plan");
         sim.run_clean(4);
         sim.calibrate_surveyors(&EmConfig::default());
         sim.arm_detection();
@@ -1606,6 +1625,54 @@ mod tests {
         assert!(report.faults.evictions > 0, "dead peers should be evicted");
         assert!(report.replacements > 0, "rejected peers should be replaced");
         assert_in_step(&sim, "after the attack");
+        sim.set_fault_plan(FaultPlan::none());
+        assert_in_step(&sim, "after detaching the fault plan");
+        sim.run(1, &attack, false);
+        assert_in_step(&sim, "after a clean-network pass");
+    }
+
+    /// A simulation whose plan is attached right after `new`, before
+    /// any tick, probes exactly like one whose keys were derived under
+    /// that plan: the keys never encode the plan.
+    #[test]
+    fn fault_plan_attached_after_new_leaves_keys_valid() {
+        let mut sim = VivaldiSimulation::new(scenario(17));
+        let keys = sim.neighbor_keys.clone();
+        sim.set_fault_plan(FaultPlan::lossy(0.1, 0.05));
+        assert_eq!(keys, sim.neighbor_keys);
+        for (node, peers) in sim.neighbors.iter().enumerate() {
+            for (slot, &peer) in peers.iter().enumerate() {
+                assert_eq!(keys[node][slot], sim.network.probe_key(node, peer));
+            }
+        }
+        sim.run_clean(2);
+        assert!(
+            sim.report().faults.retried_probes > 0,
+            "the plan must be live"
+        );
+    }
+
+    /// The per-tick nonce streams reproduce the full per-probe
+    /// derivation: `derive2(STEP, tick, node)` for the first attempt,
+    /// `derive2(derive(RTRY, attempt), tick, node)` for retries.
+    #[test]
+    fn tick_nonces_match_the_per_probe_derivation() {
+        let step_nonce = |tick: u64, node: usize| derive2(streams::STEP, tick, node as u64);
+        let retry_nonce = |tick: u64, node: usize, attempt: u32| {
+            derive2(derive(streams::RTRY, attempt as u64), tick, node as u64)
+        };
+        for tick in [0, 1, 2, 63, 64, 1_000_003, u64::MAX] {
+            let nonces = TickNonces::new(tick);
+            for node in [0, 1, 17, 1739, 50_000, usize::MAX] {
+                assert_eq!(nonces.nonce(node, 0), step_nonce(tick, node));
+                for attempt in 1..=PROBE_RETRIES {
+                    assert_eq!(
+                        nonces.nonce(node, attempt),
+                        retry_nonce(tick, node, attempt)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -427,24 +427,28 @@ impl ServiceCore {
             .iter()
             .map(|c| VetEvent::Sample(c.sample.clone()))
             .collect();
-        let steps = vet_sequences(&mut self.bank, &mut [node], &[events]);
-        let steps = steps.into_iter().next().unwrap_or_default();
-        for (claim, step) in claims.into_iter().zip(steps) {
+        // Every event is a sample, so every claim gets exactly one step.
+        let (registry, counters) = (&mut self.registry, &self.counters);
+        vet_sequences(&mut self.bank, &mut [node], &[events], |_, k, step| {
             let (disposition, innovation, threshold) = match &step {
-                Some(SecureStep::Accepted { verdict, .. }) => {
-                    self.registry.inc(self.counters.accepted);
+                SecureStep::Accepted { verdict, .. } => {
+                    registry.inc(counters.accepted);
                     (Disposition::Accepted, verdict.innovation, verdict.threshold)
                 }
-                Some(SecureStep::Reprieved { verdict, .. }) => {
-                    self.registry.inc(self.counters.reprieved);
-                    (Disposition::Reprieved, verdict.innovation, verdict.threshold)
+                SecureStep::Reprieved { verdict, .. } => {
+                    registry.inc(counters.reprieved);
+                    (
+                        Disposition::Reprieved,
+                        verdict.innovation,
+                        verdict.threshold,
+                    )
                 }
-                Some(SecureStep::Rejected { verdict }) => {
-                    self.registry.inc(self.counters.rejected);
+                SecureStep::Rejected { verdict } => {
+                    registry.inc(counters.rejected);
                     (Disposition::Rejected, verdict.innovation, verdict.threshold)
                 }
-                None => (Disposition::NotReady, 0.0, 0.0),
             };
+            let claim = &claims[k];
             if let Some(out) = replies.get_mut(claim.slot) {
                 *out = Some(Message::UpdateVerdict {
                     nonce: claim.nonce,
@@ -453,7 +457,7 @@ impl ServiceCore {
                     threshold,
                 });
             }
-        }
+        });
     }
 
     /// A certificate over the daemon's own coordinate, when armed. The
@@ -817,6 +821,65 @@ mod tests {
         assert_eq!(get("svc.claims"), 6);
         assert_eq!(get("svc.claims_accepted"), 5);
         assert_eq!(get("svc.claims_rejected"), 1);
+    }
+
+    /// Client id `u64::MAX` is an ordinary wire value: its claims go
+    /// through the same vetting — first-time reprieve included — as the
+    /// same claims from any other new client.
+    #[test]
+    fn claims_from_the_largest_client_id_are_vetted_like_any_other() {
+        let verdicts = |subject: u64| {
+            let mut core = ServiceCore::new(ServiceConfig::default());
+            register_surveyor(&mut core);
+            let daemon = core.coordinate().clone();
+            // A moderate deviation (0.22) earns a first-time client a
+            // reprieve and a known one a rejection.
+            let script = [
+                (0, 0.1),
+                (1, 0.1),
+                (subject, 0.22),
+                (subject, 0.22),
+                (2, 0.22),
+                (subject, 0.1),
+                (subject, 5.0),
+                (3, 0.1),
+            ];
+            script
+                .iter()
+                .enumerate()
+                .map(|(i, &(client, delta))| {
+                    match one(
+                        &mut core,
+                        &claim(client, i as u64, &daemon, delta),
+                        i as u64,
+                    ) {
+                        Message::UpdateVerdict {
+                            disposition,
+                            innovation,
+                            threshold,
+                            ..
+                        } => (disposition, innovation.to_bits(), threshold.to_bits()),
+                        other => panic!("unexpected reply {other:?}"),
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        let largest = verdicts(u64::MAX);
+        assert_eq!(largest, verdicts(42));
+        let dispositions: Vec<Disposition> = largest.iter().map(|v| v.0).collect();
+        assert_eq!(
+            dispositions,
+            [
+                Disposition::Accepted,
+                Disposition::Accepted,
+                Disposition::Reprieved,
+                Disposition::Rejected,
+                Disposition::Reprieved,
+                Disposition::Accepted,
+                Disposition::Rejected,
+                Disposition::Accepted,
+            ]
+        );
     }
 
     #[test]

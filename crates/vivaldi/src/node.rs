@@ -1,7 +1,7 @@
 //! A single Vivaldi node.
 
 use crate::config::VivaldiConfig;
-use ices_coord::{relative_error, Coordinate, Embedding, PeerSample, StepOutcome};
+use ices_coord::{relative_error_of, Coordinate, Embedding, PeerSample, StepOutcome};
 use ices_stats::ewma::WeightedEwma;
 use ices_stats::rng::SimRng;
 use serde::{Deserialize, Serialize};
@@ -74,18 +74,18 @@ impl VivaldiNode {
         // Sample-confidence balance.
         let w = own_error / (own_error + peer_error);
 
-        // Measured relative error of this step.
-        let es = relative_error(&self.coordinate, peer_coord, rtt_ms);
+        // Measured relative error of this step, from the one distance
+        // the spring move below reuses.
+        let est = self.coordinate.distance(peer_coord);
+        let es = relative_error_of(est, rtt_ms);
 
         // Update the local error estimate (weighted EWMA).
         self.local_error.update(es, w, self.config.ce);
 
         // Move along the spring force: δ·(rtt − est)·u(x_i − x_j).
-        let est = self.coordinate.distance(peer_coord);
         let delta = self.config.cc * w;
-        let direction = self.coordinate.direction_from(peer_coord, &mut self.rng);
         self.coordinate
-            .apply_force(delta * (rtt_ms - est), &direction);
+            .spring_step(peer_coord, delta * (rtt_ms - est), &mut self.rng);
         if self.config.space.uses_height() {
             self.coordinate.clamp_height_min(self.config.min_height_ms);
         }

@@ -15,12 +15,13 @@ cargo test -q
 # `cargo test` above covers only the `ices` facade package.
 cargo test --workspace -q
 
-# The NPS goldens and the simulation determinism suites again, built
-# with optimisation: the packed objective kernels only exist in
-# optimised code, which the debug `cargo test` runs above never reach.
+# The NPS goldens, the pipeline goldens and the simulation determinism
+# suites again, built with optimisation: the packed objective kernels
+# only exist in optimised code, which the debug `cargo test` runs above
+# never reach.
 cargo test --release -q -p ices-nps
-cargo test --release -q -p ices-sim --test determinism --test chaos_determinism \
-  --test adversary_determinism --test obs_invariance
+cargo test --release -q -p ices-sim --test golden_pipeline --test determinism \
+  --test chaos_determinism --test adversary_determinism --test obs_invariance
 
 # Static analysis: determinism & panic-hygiene invariants (also gated
 # in tier-1 via tests/audit_clean.rs; run here with --json for the
