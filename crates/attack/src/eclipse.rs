@@ -22,21 +22,21 @@
 //! (probing the claim through non-eclipsed witnesses) recovers.
 
 use crate::adversary::{Adversary, TamperedSample};
+use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use ices_stats::streams;
 
 /// The coordinated eclipse attack.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EclipseAttack {
     /// Nodes under adversary control (the surrounding ring).
-    attackers: BTreeSet<usize>,
+    attackers: NodeSet,
     /// Targeted victims. Non-victims get honest behavior — the attack
     /// is precise, which is what keeps it quiet.
-    victims: BTreeSet<usize>,
+    victims: NodeSet,
     /// Magnitude of the per-victim translation, in ms.
     offset_ms: f64,
     /// Seed the per-victim offset vectors derive from.
@@ -67,12 +67,12 @@ impl EclipseAttack {
 
     /// Nodes under adversary control.
     pub fn attacker_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.attackers.iter().copied()
+        self.attackers.iter()
     }
 
     /// Targeted victims.
     pub fn victim_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.victims.iter().copied()
+        self.victims.iter()
     }
 
     /// The translation magnitude in ms.
@@ -92,7 +92,7 @@ impl EclipseAttack {
 
 impl Adversary for EclipseAttack {
     fn is_malicious(&self, node: usize) -> bool {
-        self.attackers.contains(&node)
+        self.attackers.contains(node)
     }
 
     fn intercept(
@@ -105,9 +105,9 @@ impl Adversary for EclipseAttack {
         measured_rtt: f64,
         _victim_coord: &Coordinate,
     ) -> Option<TamperedSample> {
-        if !self.attackers.contains(&peer)
-            || self.attackers.contains(&victim)
-            || !self.victims.contains(&victim)
+        if !self.attackers.contains(peer)
+            || self.attackers.contains(victim)
+            || !self.victims.contains(victim)
         {
             return None;
         }

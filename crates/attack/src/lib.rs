@@ -50,6 +50,7 @@
 pub mod adversary;
 pub mod defense;
 pub mod eclipse;
+pub mod node_set;
 pub mod nps_collusion;
 pub mod slow_drift;
 pub mod sybil_swarm;
@@ -58,6 +59,7 @@ pub mod vivaldi_isolation;
 pub use adversary::{Adversary, HonestWorld, TamperedSample};
 pub use defense::DefenseConfig;
 pub use eclipse::EclipseAttack;
+pub use node_set::NodeSet;
 pub use nps_collusion::NpsCollusionAttack;
 pub use slow_drift::SlowDriftAttack;
 pub use sybil_swarm::SybilSwarmAttack;

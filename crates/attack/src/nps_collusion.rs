@@ -38,11 +38,12 @@
 //! deviation the test exists to flag.
 
 use crate::adversary::{Adversary, TamperedSample};
+use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use ices_stats::streams;
 
 /// Number of malicious reference points a layer needs before the attack
@@ -53,13 +54,13 @@ pub const DEFAULT_ACTIVATION_THRESHOLD: usize = 5;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NpsCollusionAttack {
     /// Nodes under adversary control.
-    malicious: BTreeSet<usize>,
+    malicious: NodeSet,
     /// Layers in which the attack is active (≥ threshold malicious RPs).
-    active_layers: BTreeSet<usize>,
+    active_layers: NodeSet,
     /// Layer of each malicious reference point (as promoted by NPS).
     rp_layer: BTreeMap<usize, usize>,
     /// The common victim set, chosen at activation.
-    victims: BTreeSet<usize>,
+    victims: NodeSet,
     /// Minimum malicious RPs in a layer before activating.
     activation_threshold: usize,
     /// Fraction of known lower-layer normal nodes targeted.
@@ -100,9 +101,9 @@ impl NpsCollusionAttack {
         );
         Self {
             malicious: malicious.into_iter().collect(),
-            active_layers: BTreeSet::new(),
+            active_layers: NodeSet::new(),
             rp_layer: BTreeMap::new(),
-            victims: BTreeSet::new(),
+            victims: NodeSet::new(),
             activation_threshold: DEFAULT_ACTIVATION_THRESHOLD,
             victim_fraction,
             dims,
@@ -114,7 +115,7 @@ impl NpsCollusionAttack {
 
     /// Ids under adversary control.
     pub fn malicious_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.malicious.iter().copied()
+        self.malicious.iter()
     }
 
     /// Inform the conspiracy of the current hierarchy: which nodes serve
@@ -135,7 +136,7 @@ impl NpsCollusionAttack {
         let mut per_layer: BTreeMap<usize, usize> = BTreeMap::new();
         self.rp_layer.clear();
         for (&node, &layer) in serving {
-            if self.malicious.contains(&node) {
+            if self.malicious.contains(node) {
                 *per_layer.entry(layer).or_insert(0) += 1;
                 self.rp_layer.insert(node, layer);
             }
@@ -147,7 +148,7 @@ impl NpsCollusionAttack {
                     let candidates: Vec<usize> = below
                         .iter()
                         .copied()
-                        .filter(|v| !self.malicious.contains(v))
+                        .filter(|&v| !self.malicious.contains(v))
                         .collect();
                     let take =
                         ((candidates.len() as f64) * self.victim_fraction).round() as usize;
@@ -168,12 +169,12 @@ impl NpsCollusionAttack {
 
     /// Layers in which the conspiracy is live.
     pub fn active_layers(&self) -> impl Iterator<Item = usize> + '_ {
-        self.active_layers.iter().copied()
+        self.active_layers.iter()
     }
 
     /// The committed victim set.
     pub fn victims(&self) -> impl Iterator<Item = usize> + '_ {
-        self.victims.iter().copied()
+        self.victims.iter()
     }
 
     /// Whether the attack is live anywhere.
@@ -199,7 +200,7 @@ impl NpsCollusionAttack {
 
 impl Adversary for NpsCollusionAttack {
     fn is_malicious(&self, node: usize) -> bool {
-        self.malicious.contains(&node)
+        self.malicious.contains(node)
     }
 
     fn intercept(
@@ -212,13 +213,13 @@ impl Adversary for NpsCollusionAttack {
         measured_rtt: f64,
         victim_coord: &Coordinate,
     ) -> Option<TamperedSample> {
-        if !self.malicious.contains(&peer) {
+        if !self.malicious.contains(peer) {
             return None;
         }
         // Honest until activated, and only against the committed victims
         // served from an activated layer.
         let layer = *self.rp_layer.get(&peer)?;
-        if !self.active_layers.contains(&layer) || !self.victims.contains(&victim) {
+        if !self.active_layers.contains(layer) || !self.victims.contains(victim) {
             return None;
         }
         // The drag lie: claim to sit `(1 + drag)·rtt` from the victim's
@@ -297,7 +298,7 @@ mod tests {
     #[test]
     fn only_victims_are_attacked() {
         let a = activated();
-        let victims: BTreeSet<usize> = a.victims().collect();
+        let victims: std::collections::BTreeSet<usize> = a.victims().collect();
         let c = Coordinate::origin(Space::euclidean(8));
         for node in [10, 11, 12, 13, 14, 15, 16, 17] {
             let hit = a.intercept(1, node, 0, &c, 0.5, 40.0, &c).is_some();

@@ -25,18 +25,18 @@
 //! only the trajectory does.
 
 use crate::adversary::{Adversary, TamperedSample};
+use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use ices_stats::streams;
 
 /// The calibrated slow-drift attack.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SlowDriftAttack {
     /// Nodes under adversary control.
-    attackers: BTreeSet<usize>,
+    attackers: NodeSet,
     /// Per-tick claimed-coordinate displacement, in ms — the knob that
     /// trades stealth (small, under the innovation threshold) against
     /// speed (large, detectable).
@@ -81,7 +81,7 @@ impl SlowDriftAttack {
 
     /// Nodes under adversary control.
     pub fn attacker_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.attackers.iter().copied()
+        self.attackers.iter()
     }
 
     /// The per-tick displacement in ms.
@@ -102,7 +102,7 @@ impl SlowDriftAttack {
 
 impl Adversary for SlowDriftAttack {
     fn is_malicious(&self, node: usize) -> bool {
-        self.attackers.contains(&node)
+        self.attackers.contains(node)
     }
 
     fn intercept(
@@ -115,7 +115,7 @@ impl Adversary for SlowDriftAttack {
         measured_rtt: f64,
         _victim_coord: &Coordinate,
     ) -> Option<TamperedSample> {
-        if !self.attackers.contains(&peer) || self.attackers.contains(&victim) {
+        if !self.attackers.contains(peer) || self.attackers.contains(victim) {
             return None;
         }
         let displacement = self.drift_accumulated_ms(tick);

@@ -20,18 +20,18 @@
 //! share of the candidate set grows.
 
 use crate::adversary::{Adversary, TamperedSample};
+use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use ices_stats::streams;
 
 /// The coordinated Sybil swarm.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SybilSwarmAttack {
     /// Identities under the (single) adversary's control.
-    sybils: BTreeSet<usize>,
+    sybils: NodeSet,
     /// Distance of the shared anchor from the space origin, in ms. The
     /// swarm pretends to live in this remote part of the space.
     anchor_distance_ms: f64,
@@ -50,10 +50,6 @@ pub struct SybilSwarmAttack {
     /// indexed lookup on the hot path instead of a per-call stream
     /// derivation. `None` for non-sybil indices.
     claims: Vec<Option<Coordinate>>,
-    /// Dense membership mask (`mask[node]` ⇔ node is a sybil): the
-    /// swarm is consulted on *every* step of a run, so membership is an
-    /// indexed probe rather than a tree walk.
-    mask: Vec<bool>,
 }
 
 impl SybilSwarmAttack {
@@ -82,28 +78,19 @@ impl SybilSwarmAttack {
             dims,
             seed,
             claims: Vec::new(),
-            mask: Vec::new(),
         };
-        let slots = swarm.sybils.iter().max().map_or(0, |&m| m + 1);
+        let slots = swarm.sybils.iter().max().map_or(0, |m| m + 1);
         let mut claims = vec![None; slots];
-        let mut mask = vec![false; slots];
-        for &s in &swarm.sybils {
+        for s in swarm.sybils.iter() {
             claims[s] = Some(swarm.claimed_position(s));
-            mask[s] = true;
         }
         swarm.claims = claims;
-        swarm.mask = mask;
         swarm
-    }
-
-    /// O(1) membership probe.
-    fn is_sybil(&self, node: usize) -> bool {
-        self.mask.get(node).copied().unwrap_or(false)
     }
 
     /// Identities under swarm control.
     pub fn sybil_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.sybils.iter().copied()
+        self.sybils.iter()
     }
 
     /// The swarm's shared anchor: one point per seed.
@@ -141,7 +128,7 @@ impl SybilSwarmAttack {
 
 impl Adversary for SybilSwarmAttack {
     fn is_malicious(&self, node: usize) -> bool {
-        self.is_sybil(node)
+        self.sybils.contains(node)
     }
 
     fn intercept(
@@ -154,13 +141,13 @@ impl Adversary for SybilSwarmAttack {
         measured_rtt: f64,
         _victim_coord: &Coordinate,
     ) -> Option<TamperedSample> {
-        if !self.is_sybil(peer) || self.is_sybil(victim) {
+        if !self.sybils.contains(peer) || self.sybils.contains(victim) {
             // Sybils embed honestly among themselves: the real node
             // behind them needs a valid coordinate to keep its standing.
             return None;
         }
         Some(TamperedSample {
-            // `is_sybil(peer)` held above, so the claim exists; `?`
+            // `sybils.contains(peer)` held above, so the claim exists; `?`
             // keeps the lookup panic-free regardless.
             coord: self.claims.get(peer)?.clone()?,
             error: self.claimed_error,

@@ -20,18 +20,18 @@
 //! local error so the victim weights the malicious sample heavily.
 
 use crate::adversary::{Adversary, TamperedSample};
+use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use ices_stats::streams;
 
 /// The colluding isolation attack.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VivaldiIsolationAttack {
     /// Nodes under adversary control.
-    malicious: BTreeSet<usize>,
+    malicious: NodeSet,
     /// Center of the agreed exclusion zone (the target's position as
     /// scouted by the colluders before the attack).
     zone_center: Coordinate,
@@ -98,7 +98,7 @@ impl VivaldiIsolationAttack {
 
     /// Ids under adversary control.
     pub fn malicious_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.malicious.iter().copied()
+        self.malicious.iter()
     }
 
     /// The consistent lie attacker `a` tells victim `v`: a point derived
@@ -136,7 +136,7 @@ impl VivaldiIsolationAttack {
 
 impl Adversary for VivaldiIsolationAttack {
     fn is_malicious(&self, node: usize) -> bool {
-        self.malicious.contains(&node)
+        self.malicious.contains(node)
     }
 
     fn intercept(
@@ -149,7 +149,7 @@ impl Adversary for VivaldiIsolationAttack {
         measured_rtt: f64,
         _victim_coord: &Coordinate,
     ) -> Option<TamperedSample> {
-        if !self.malicious.contains(&peer) || self.malicious.contains(&victim) {
+        if !self.malicious.contains(peer) || self.malicious.contains(victim) {
             // Attackers embed honestly among themselves — they need valid
             // coordinates to keep their standing in the system.
             return None;

@@ -330,6 +330,9 @@ pub(crate) struct ColumnScratch {
     active: Vec<bool>,
     accept: Vec<bool>,
     coast: Vec<bool>,
+    /// Per slot: the column's sample is the node's first test of its
+    /// peer (the ledger pass's answer).
+    first_time: Vec<bool>,
     verdicts: Vec<Option<Verdict>>,
 }
 
@@ -343,12 +346,20 @@ impl ColumnScratch {
         self.accept.resize(n, false);
         self.coast.clear();
         self.coast.resize(n, false);
+        self.first_time.clear();
+        self.first_time.resize(n, false);
     }
 }
 
 /// Run one column of events (at most one per node) through the bank:
-/// gather observations, one flat predict/evaluate sweep, per-node
-/// protocol decisions, then the accept/coast sweeps.
+/// gather observations, one flat predict/evaluate sweep, the ledger
+/// pass, per-node protocol decisions, then the accept/coast sweeps.
+///
+/// The ledger pass records every sample's test before any decision of
+/// the column, so the ledgers' cold lookups of different nodes overlap
+/// instead of each stalling its node's decision. The order is the
+/// scalar one where it matters: a node has at most one event per
+/// column, and its test still precedes its reject.
 ///
 /// The decision body deliberately DUPLICATES [`SecureNode::step`] — the
 /// bank owns the detector state mid-sweep, so the scalar method cannot
@@ -377,6 +388,11 @@ fn vet_column<'e, E: Embedding>(
     bank.predict_all();
     bank.evaluate_into(&scratch.obs, &scratch.active, &mut scratch.verdicts);
     for (i, node) in nodes.iter_mut().enumerate() {
+        if let Some(VetEvent::Sample(sample)) = event_of(i) {
+            scratch.first_time[i] = node.ledger.test(sample.peer);
+        }
+    }
+    for (i, node) in nodes.iter_mut().enumerate() {
         let Some(VetEvent::Sample(sample)) = event_of(i) else {
             continue;
         };
@@ -384,7 +400,7 @@ fn vet_column<'e, E: Embedding>(
         // audit:allow(PANIC01): evaluate_into's contract gives every active slot a verdict; a None here is a bank bug that must fail loudly
         let verdict = scratch.verdicts[i].expect("active slot has a verdict");
         let node = &mut **node;
-        let first_time = node.ledger.test(sample.peer);
+        let first_time = scratch.first_time[i];
         if !verdict.suspicious {
             scratch.accept[i] = true;
             let outcome = node.inner.apply_step(sample);
@@ -870,6 +886,65 @@ mod tests {
             for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
                 assert_eq!(s.end_round(), b.end_round(), "round {round} node {i}");
             }
+        }
+        // The ledger across columns, on the most confident node: a
+        // peer rejected in column 0 and tested again in column 1 (no
+        // reprieve: it is no longer new), then a new peer reprieved in
+        // column 2. The deviations sit between the primary and the
+        // reprieve threshold of the step they are vetted at, so the
+        // first-time flag alone decides between reprieve and reject.
+        let moderate = |node: &SecureNode<StubEmbedding>, prefix: &[PeerSample]| {
+            let mut ahead = node.clone();
+            for sample in prefix {
+                ahead.step(sample);
+            }
+            let outlook = ahead.detector().prediction();
+            let el = ahead.inner().local_error();
+            let reprieve = ahead.detector().threshold_at(el * ahead.config.alpha);
+            outlook.predicted + (outlook.threshold + reprieve) / 2.0
+        };
+        let blatant = sample_with_error(900, 50.0);
+        let again = sample_with_error(900, moderate(&scalar[0], std::slice::from_ref(&blatant)));
+        let fresh = sample_with_error(901, moderate(&scalar[0], &[blatant.clone(), again.clone()]));
+        let mut events: Vec<Vec<VetEvent>> = (0..n)
+            .map(|i| vec![VetEvent::Sample(sample_with_error(i, 0.12)); 3])
+            .collect();
+        events[0] = [blatant, again, fresh]
+            .into_iter()
+            .map(VetEvent::Sample)
+            .collect();
+        let scalar_steps: Vec<Vec<Option<SecureStep>>> = scalar
+            .iter_mut()
+            .zip(&events)
+            .map(|(node, seq)| {
+                seq.iter()
+                    .map(|event| match event {
+                        VetEvent::Sample(s) => Some(node.step(s)),
+                        VetEvent::Missing => None,
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(
+            matches!(
+                scalar_steps[0][..],
+                [
+                    Some(SecureStep::Rejected { .. }),
+                    Some(SecureStep::Rejected { .. }),
+                    Some(SecureStep::Reprieved { .. })
+                ]
+            ),
+            "the cross-column cases must be exercised: {:?}",
+            scalar_steps[0]
+        );
+        let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
+        let mut batched_steps: Vec<Vec<Option<SecureStep>>> = vec![vec![None; 3]; n];
+        vet_sequences(&mut bank, &mut refs, &events, |i, k, step| {
+            batched_steps[i][k] = Some(step);
+        });
+        assert_eq!(scalar_steps, batched_steps, "cross-column ledger cases");
+        for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
+            assert_eq!(s.end_round(), b.end_round(), "cross-column round, node {i}");
         }
         for (i, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
             assert_eq!(s.detector(), b.detector(), "node {i} detector state");

@@ -17,7 +17,7 @@
 //! hosts, rare in the King measurements). Negative outcomes are clamped
 //! to a physical floor.
 
-use ices_stats::sample;
+use ices_stats::sample::{self, PolarPoint};
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 
@@ -96,37 +96,80 @@ impl FluctuationModel {
     }
 
     /// Draw one measured RTT for a path with the given nominal RTT,
-    /// with per-endpoint noise amplification `profile`.
+    /// with per-endpoint noise amplification `profile`:
+    /// [`FluctuationModel::transform`] of [`FluctuationModel::draw`].
+    ///
+    /// # Panics
+    /// Panics unless `base_rtt_ms` is positive and finite.
     pub fn measure<R: Rng + ?Sized>(
         &self,
         base_rtt_ms: f64,
         profile: &NoiseProfile,
         rng: &mut R,
     ) -> f64 {
+        self.transform(base_rtt_ms, profile, &self.draw(profile, rng))
+    }
+
+    /// The draw half of a measurement: every RNG draw it makes, in
+    /// stream order — the congestion and jitter polar points, the spike
+    /// uniform and, when the spike fires, the Pareto uniform. A batch of
+    /// probes makes all of its draws before any `ln`, `exp` or `powf`.
+    pub fn draw<R: Rng + ?Sized>(&self, profile: &NoiseProfile, rng: &mut R) -> NoiseDraw {
+        let mut draw = NoiseDraw::default();
+        if self.congestion_sigma * profile.congestion_mult > 0.0 {
+            draw.congestion = sample::polar_draw(rng);
+        }
+        if self.jitter_ms * profile.jitter_mult > 0.0 {
+            draw.jitter = sample::polar_draw(rng);
+        }
+        let spike_p = (self.spike_probability * profile.spike_mult).min(1.0);
+        if spike_p > 0.0 && rng.random::<f64>() < spike_p {
+            draw.spike = Some(rng.random::<f64>());
+        }
+        draw
+    }
+
+    /// The transform half of a measurement: `base · C + J + S`, floored,
+    /// from the draws [`FluctuationModel::draw`] made under the same
+    /// `profile`.
+    ///
+    /// # Panics
+    /// Panics unless `base_rtt_ms` is positive and finite.
+    pub fn transform(&self, base_rtt_ms: f64, profile: &NoiseProfile, draw: &NoiseDraw) -> f64 {
         assert!(
             base_rtt_ms > 0.0 && base_rtt_ms.is_finite(),
             "base RTT must be positive, got {base_rtt_ms}"
         );
         let sigma = self.congestion_sigma * profile.congestion_mult;
         let congestion = if sigma > 0.0 {
-            sample::lognormal(rng, 0.0, sigma)
+            sample::lognormal_from(draw.congestion, 0.0, sigma)
         } else {
             1.0
         };
         let jitter_sd = self.jitter_ms * profile.jitter_mult;
         let jitter = if jitter_sd > 0.0 {
-            sample::normal(rng, 0.0, jitter_sd)
+            sample::normal_from(draw.jitter, 0.0, jitter_sd)
         } else {
             0.0
         };
-        let spike_p = (self.spike_probability * profile.spike_mult).min(1.0);
-        let spike = if spike_p > 0.0 && rng.random::<f64>() < spike_p {
-            sample::pareto(rng, self.spike_scale_ms, self.spike_shape)
-        } else {
-            0.0
+        let spike = match draw.spike {
+            Some(u) => sample::pareto_from(u, self.spike_scale_ms, self.spike_shape),
+            None => 0.0,
         };
         (base_rtt_ms * congestion + jitter + spike).max(self.floor_ms)
     }
+}
+
+/// The RNG draws of one measurement ([`FluctuationModel::draw`]), kept
+/// apart from the arithmetic that turns them into an RTT
+/// ([`FluctuationModel::transform`]). Draws the model skips stay at
+/// their defaults.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NoiseDraw {
+    congestion: PolarPoint,
+    jitter: PolarPoint,
+    /// The Pareto uniform, when the spike fired.
+    spike: Option<f64>,
 }
 
 /// Per-node noise amplification.
@@ -195,6 +238,85 @@ mod tests {
             s.push(model.measure(base, profile, &mut rng));
         }
         s
+    }
+
+    /// `measure` as it was before the draw/transform split, samplers
+    /// inlined as they were: every draw interleaved with its arithmetic.
+    fn reference_measure(
+        model: &FluctuationModel,
+        base_rtt_ms: f64,
+        profile: &NoiseProfile,
+        rng: &mut rand::rngs::StdRng,
+    ) -> f64 {
+        let standard_normal = |rng: &mut rand::rngs::StdRng| loop {
+            let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
+            let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                return u * (-2.0 * s.ln() / s).sqrt();
+            }
+        };
+        let sigma = model.congestion_sigma * profile.congestion_mult;
+        let congestion = if sigma > 0.0 {
+            (0.0 + sigma * standard_normal(rng)).exp()
+        } else {
+            1.0
+        };
+        let jitter_sd = model.jitter_ms * profile.jitter_mult;
+        let jitter = if jitter_sd > 0.0 {
+            0.0 + jitter_sd * standard_normal(rng)
+        } else {
+            0.0
+        };
+        let spike_p = (model.spike_probability * profile.spike_mult).min(1.0);
+        let spike = if spike_p > 0.0 && rng.random::<f64>() < spike_p {
+            let u: f64 = rng.random();
+            model.spike_scale_ms / (1.0 - u).powf(1.0 / model.spike_shape)
+        } else {
+            0.0
+        };
+        (base_rtt_ms * congestion + jitter + spike).max(model.floor_ms)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `transform(draw(rng))` is the interleaved measurement bit for
+        /// bit, and leaves the stream exactly where it leaves it, for
+        /// every model (spikes firing often, or no noise at all) and
+        /// random endpoint amplification.
+        #[test]
+        fn transform_of_draw_is_the_interleaved_measurement(
+            seed in 0u64..u64::MAX,
+            base in 0.05f64..400.0,
+            mults in (0.0f64..12.0, 0.0f64..12.0, 0.0f64..400.0),
+        ) {
+            let mut spiky = FluctuationModel::planetlab_default();
+            spiky.spike_probability = 0.05;
+            let profile = NoiseProfile {
+                congestion_mult: mults.0,
+                jitter_mult: mults.1,
+                spike_mult: mults.2,
+            };
+            for model in [
+                FluctuationModel::king_default(),
+                FluctuationModel::planetlab_default(),
+                spiky,
+                FluctuationModel::noiseless(),
+            ] {
+                for profile in [profile, NoiseProfile::clean(), NoiseProfile::pathological()] {
+                    let mut split = stream_rng(seed, 3);
+                    let mut reference = split.clone();
+                    for _ in 0..8 {
+                        let draw = model.draw(&profile, &mut split);
+                        let got = model.transform(base, &profile, &draw);
+                        let want = reference_measure(&model, base, &profile, &mut reference);
+                        proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+                        proptest::prop_assert_eq!(&split, &reference);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

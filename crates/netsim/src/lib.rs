@@ -46,9 +46,9 @@ pub mod topology;
 
 pub use eclipse::EclipsePlan;
 pub use faults::{ChurnModel, FaultPlan, LinkFaults, ProbeOutcome};
-pub use fluctuation::{FluctuationModel, NoiseProfile};
+pub use fluctuation::{FluctuationModel, NoiseDraw, NoiseProfile};
 pub use kinggen::{KingConfig, Placement, RegionLayout};
-pub use network::{Network, ProbeKey, ProbePair};
+pub use network::{Network, ProbeBatch, ProbeKey, ProbePair, ProbeRequest};
 pub use planetlab::PlanetLabConfig;
 pub use rtt::{RttSource, RttStore, SynthRtt};
 pub use topology::RttMatrix;

@@ -7,12 +7,14 @@
 //! depend on the order in which nodes happen to probe.
 
 use crate::faults::{link_key, FaultPlan, ProbeOutcome};
-use crate::fluctuation::{FluctuationModel, NoiseProfile};
+use crate::fluctuation::{FluctuationModel, NoiseDraw, NoiseProfile};
 use crate::kinggen::{KingConfig, Topology};
 use crate::planetlab::PlanetLab;
 use crate::rtt::{RttSource, RttStore, SynthRtt};
 use crate::topology::RttMatrix;
 use ices_stats::rng::{derive, stream_rng};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use ices_stats::streams;
@@ -458,6 +460,75 @@ impl Network {
     fn endpoints_up(&self, a: usize, b: usize, tick: u64) -> bool {
         self.faults.is_empty() || (self.node_up(a, tick) && self.node_up(b, tick))
     }
+
+    /// The link-fault gate of the pair keyed by `key` at `nonce`
+    /// ([`ProbePair::link_fate`]): a pure function of the key and the
+    /// nonce, so a caller can settle a probe's fate before measuring it.
+    pub fn link_fate(&self, key: &ProbeKey, nonce: u64) -> Option<ProbeOutcome> {
+        self.faults.link_fate(key.link_key, nonce)
+    }
+
+    /// Every request's smoothed probe, into `out` (cleared first):
+    /// `out[i]` is bit for bit
+    /// `self.keyed_pair(r.a, r.b, r.key).smoothed(r.nonce)` for
+    /// `r = requests[i]`.
+    ///
+    /// The batch runs in three flat passes over `buffers`: seed all
+    /// `3 · len` noise streams, make every stream's draws
+    /// ([`FluctuationModel::draw`]), then transform them and take each
+    /// median of three ([`FluctuationModel::transform`]). Each pass is a
+    /// loop of independent iterations, so the hashes, the draws' data
+    /// dependencies and the libm calls of different probes overlap
+    /// instead of running back to back per probe. Debug builds check
+    /// every key against a fresh [`Network::probe_key`].
+    ///
+    /// # Panics
+    /// Panics if a request probes a node from itself or an index is out
+    /// of range.
+    pub fn smoothed_batch(
+        &self,
+        requests: &[ProbeRequest],
+        buffers: &mut ProbeBatch,
+        out: &mut Vec<f64>,
+    ) {
+        let ProbeBatch {
+            rngs,
+            profiles,
+            draws,
+        } = buffers;
+        rngs.clear();
+        profiles.clear();
+        for r in requests {
+            assert!(r.a != r.b, "a node cannot probe itself");
+            debug_assert_eq!(
+                r.key,
+                self.probe_key(r.a, r.b),
+                "cached probe key of ({}, {}) is stale",
+                r.a,
+                r.b
+            );
+            profiles.push(*self.combined_profile(r.a, r.b));
+            rngs.extend(
+                smoothed_nonces(r.nonce)
+                    .map(|nonce| StdRng::seed_from_u64(derive(r.key.noise_key, nonce))),
+            );
+        }
+        draws.clear();
+        for (profile, triple) in profiles.iter().zip(rngs.as_chunks_mut::<3>().0) {
+            draws.extend(triple.iter_mut().map(|rng| self.noise.draw(profile, rng)));
+        }
+        out.clear();
+        out.extend(
+            requests
+                .iter()
+                .zip(profiles.iter())
+                .zip(draws.as_chunks::<3>().0)
+                .map(|((r, profile), [d0, d1, d2])| {
+                    let probe = |draw| self.noise.transform(r.key.base, profile, draw);
+                    median3(probe(d0), probe(d1), probe(d2))
+                }),
+        );
+    }
 }
 
 /// The per-pair setup of a probe, as plain `Copy` values (see
@@ -469,6 +540,32 @@ pub struct ProbeKey {
     noise_key: u64,
     /// The pair's link-fault stream, computed whatever the fault plan.
     link_key: u64,
+}
+
+/// One request of [`Network::smoothed_batch`]: the smoothed probe of
+/// `(a, b)` at `nonce`, from the pair's cached [`ProbeKey`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeRequest {
+    /// The probing node.
+    pub a: usize,
+    /// The probed node.
+    pub b: usize,
+    /// The pair's [`Network::probe_key`].
+    pub key: ProbeKey,
+    /// The logical probe's nonce (see [`ProbePair::smoothed`]).
+    pub nonce: u64,
+}
+
+/// The caller-owned buffers of [`Network::smoothed_batch`], one per
+/// pass, kept across calls so a steady-state batch allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeBatch {
+    /// Three seeded noise streams per request.
+    rngs: Vec<StdRng>,
+    /// Each request's combined endpoint profile.
+    profiles: Vec<NoiseProfile>,
+    /// Each stream's draws.
+    draws: Vec<NoiseDraw>,
 }
 
 /// One probe pair of a [`Network`], set up once by [`Network::pair`]
@@ -494,19 +591,15 @@ impl ProbePair<'_> {
     /// The median of three probes at nonces `3·nonce .. 3·nonce+3`
     /// ([`Network::measure_rtt_smoothed`]).
     pub fn smoothed(&self, nonce: u64) -> f64 {
-        let first = nonce.wrapping_mul(3);
-        median3(
-            self.measure(first),
-            self.measure(first.wrapping_add(1)),
-            self.measure(first.wrapping_add(2)),
-        )
+        let [n0, n1, n2] = smoothed_nonces(nonce);
+        median3(self.measure(n0), self.measure(n1), self.measure(n2))
     }
 
     /// The link-fault gate alone: `None` when the logical probe at
     /// `nonce` gets through, else its failure. Endpoint liveness is the
     /// caller's to check (see [`Network::fill_up_mask`]).
     pub fn link_fate(&self, nonce: u64) -> Option<ProbeOutcome> {
-        self.network.faults.link_fate(self.key.link_key, nonce)
+        self.network.link_fate(&self.key, nonce)
     }
 
     /// A smoothed probe through the link-fault gate (endpoint liveness
@@ -518,6 +611,13 @@ impl ProbePair<'_> {
             None => ProbeOutcome::Ok(self.smoothed(nonce)),
         }
     }
+}
+
+/// The probe-stream nonces `3·nonce .. 3·nonce+3` of the smoothed probe
+/// at `nonce`.
+fn smoothed_nonces(nonce: u64) -> [u64; 3] {
+    let first = nonce.wrapping_mul(3);
+    [first, first.wrapping_add(1), first.wrapping_add(2)]
 }
 
 /// The median of three values under [`f64::total_cmp`] — the middle
@@ -744,6 +844,74 @@ mod tests {
                     Some(expected)
                 );
             }
+        }
+    }
+
+    /// The three networks the batched probe is checked on: King noise,
+    /// PlanetLab noise with frequent Pareto spikes, and no noise at all
+    /// (no draws). Built once: every case reads them.
+    fn batch_networks() -> &'static [Network; 3] {
+        static NETS: OnceLock<[Network; 3]> = OnceLock::new();
+        NETS.get_or_init(|| {
+            let topo = KingConfig::small(40).generate(9);
+            let noiseless = Network::noiseless(topo.matrix.clone(), 9);
+            [
+                Network::from_king(topo, 9),
+                spiky_planetlab(60, 5),
+                noiseless,
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// A batch of random requests — repeats of a whole request and
+        /// of a pair under a fresh nonce included — measures bit for bit
+        /// what the one-off smoothed probe of each request does, on
+        /// every noise model, with one set of buffers reused throughout.
+        #[test]
+        fn smoothed_batch_matches_one_off_probes(
+            picks in proptest::collection::vec((0usize..1 << 20, 0u64..u64::MAX, 0u8..8), 0..48),
+        ) {
+            let mut buffers = ProbeBatch::default();
+            let mut out = vec![f64::NAN; 3];
+            for net in batch_networks() {
+                let n = net.len();
+                let mut requests: Vec<ProbeRequest> = Vec::new();
+                for &(pair, nonce, shape) in &picks {
+                    let request = match (shape, requests.last()) {
+                        (0, Some(&last)) => last,
+                        (1, Some(&last)) => ProbeRequest { nonce, ..last },
+                        _ => {
+                            let a = pair % n;
+                            let b = (a + 1 + (pair >> 10) % (n - 1)) % n;
+                            ProbeRequest { a, b, key: net.probe_key(a, b), nonce }
+                        }
+                    };
+                    requests.push(request);
+                }
+                net.smoothed_batch(&requests, &mut buffers, &mut out);
+                proptest::prop_assert_eq!(out.len(), requests.len());
+                for (r, &rtt) in requests.iter().zip(&out) {
+                    proptest::prop_assert_eq!(
+                        rtt.to_bits(),
+                        net.keyed_pair(r.a, r.b, r.key).smoothed(r.nonce).to_bits(),
+                        "request {:?}",
+                        r
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn smoothed_batch_of_nothing_is_empty() {
+        let mut buffers = ProbeBatch::default();
+        let mut out = vec![1.0, 2.0];
+        for net in batch_networks() {
+            net.smoothed_batch(&[], &mut buffers, &mut out);
+            assert!(out.is_empty());
         }
     }
 

@@ -7,14 +7,18 @@
 //!
 //! ## The two-phase tick loop
 //!
-//! Each embedding *tick* (one neighbor slot of one pass) runs in two
-//! phases:
+//! Each embedding *tick* (one neighbor slot of one pass) runs two
+//! phases, snapshot and update, with a probe pass between them:
 //!
 //! 1. **Snapshot** — every node's `(coordinate, local error)` is copied
 //!    into reusable flat structure-of-arrays buffers
 //!    ([`crate::snapshot::CoordSnapshot`]);
-//! 2. **Update** — every node independently probes its slot peer,
-//!    consults the adversary, and steps its own embedding against the
+//! 2. **Probe** — every node's probe of its slot peer is planned from
+//!    the liveness mask and the link-fault draws, then every probe that
+//!    gets through is measured in batched passes
+//!    ([`ices_netsim::Network::smoothed_batch`]);
+//! 3. **Update** — every node independently consults the adversary
+//!    with its measured RTT and steps its own embedding against the
 //!    snapshot. Nodes mutate only themselves, so this phase fans out
 //!    over [`ices_par::par_map_mut`].
 //!
@@ -38,7 +42,9 @@ use ices_core::{
     calibrate, vet_single, CalibrationOutcome, DetectorBank, EmConfig, SecureNode, SecureStep,
     SecurityConfig, StateSpaceParams, SurveyorInfo, SurveyorRegistry, VetEvent,
 };
-use ices_netsim::{EclipsePlan, FaultPlan, Network, ProbeKey, ProbeOutcome};
+use ices_netsim::{
+    EclipsePlan, FaultPlan, Network, ProbeBatch, ProbeKey, ProbeOutcome, ProbeRequest,
+};
 use ices_stats::kmeans::kmeans;
 use ices_stats::rng::{derive, derive2, SimRng};
 use ices_stats::sample::sample_indices;
@@ -102,7 +108,7 @@ impl Participant {
 }
 
 /// Why a probe produced no measurement (terminal, after retries).
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum ProbeFate {
     Lost,
     TimedOut,
@@ -173,11 +179,14 @@ pub struct VivaldiSimulation {
     surveyors: BTreeSet<usize>,
     malicious: BTreeSet<usize>,
     neighbors: Vec<Vec<usize>>,
-    /// The probe key of each neighbor, slot for slot beside
-    /// `neighbors`, so a step's probe skips the O(n²) base-RTT store
-    /// and the pair hashes. Kept in step by
-    /// [`VivaldiSimulation::set_neighbor`], the only neighbor writer.
-    neighbor_keys: Vec<Vec<ProbeKey>>,
+    /// The slot-major probe plan: `links[slot * n + node]` is `node`'s
+    /// neighbor in `slot` with its probe key (`None` past the node's
+    /// degree), one row per slot. A tick reads one contiguous row
+    /// instead of a heap row per node, and its probes skip the O(n²)
+    /// base-RTT store and the pair hashes. Kept in step with
+    /// `neighbors` by [`VivaldiSimulation::set_neighbor`], the only
+    /// neighbor writer after `new`.
+    links: Vec<Option<Link>>,
     participants: Vec<Participant>,
     registry: SurveyorRegistry,
     traces: Vec<TraceRing>,
@@ -195,6 +204,9 @@ pub struct VivaldiSimulation {
     /// Per-node liveness at the current tick (fault mode only), filled
     /// once per tick in place of per-probe churn draws.
     up: Vec<bool>,
+    /// The tick's probe plan and batched measurements, in chunks of
+    /// [`PROBE_CHUNK`] nodes; refilled in place every tick.
+    probe_chunks: Vec<ProbeChunk>,
     /// Per-node consecutive probe-failure counts toward each neighbor
     /// (fault mode only; empty maps on a clean network).
     probe_failures: Vec<std::collections::BTreeMap<usize, u32>>,
@@ -214,6 +226,128 @@ pub struct VivaldiSimulation {
     /// back to each node's scalar [`ices_core::Detector`], which stays
     /// the source of truth.
     bank: DetectorBank,
+}
+
+/// One neighbor slot of one node in the slot-major probe plan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Link {
+    peer: usize,
+    key: ProbeKey,
+}
+
+/// Nodes per chunk of a tick's probe plan: a chunk's batched
+/// measurement buffers stay cache-resident, and the chunks are the
+/// units the worker pool shares out.
+const PROBE_CHUNK: usize = 256;
+
+/// What the plan pass settles about one node's probe in a tick,
+/// before anything is measured: liveness and every link-fault draw
+/// are pure functions of the tick, so the first attempt that gets
+/// through is known up front.
+#[derive(Debug, Clone, Copy)]
+enum PlannedProbe {
+    /// No neighbor in this slot.
+    Idle,
+    /// The node is crashed for this tick.
+    SelfDown,
+    /// Every attempt failed; `fate` is the last one's.
+    Failed { peer: usize, fate: ProbeFate },
+    /// An attempt got through: its RTT is `rtts[request]` of the chunk.
+    Measured {
+        peer: usize,
+        request: usize,
+        retried: bool,
+    },
+}
+
+/// The probe plan of [`PROBE_CHUNK`] consecutive nodes for one tick,
+/// with the buffers of its batched measurement.
+#[derive(Default)]
+struct ProbeChunk {
+    /// One plan per node of the chunk.
+    plans: Vec<PlannedProbe>,
+    /// The probes that get through, in node order.
+    requests: Vec<ProbeRequest>,
+    /// `requests`' smoothed RTTs.
+    rtts: Vec<f64>,
+    batch: ProbeBatch,
+}
+
+impl ProbeChunk {
+    /// Plan the probes of the chunk's nodes (`row` is their slice of
+    /// the tick's `links` row, starting at node `first`), then measure
+    /// every probe that gets through in one [`Network::smoothed_batch`].
+    fn plan_and_measure(
+        &mut self,
+        network: &Network,
+        row: &[Option<Link>],
+        first: usize,
+        faulty: bool,
+        up: &[bool],
+        nonces: &TickNonces,
+    ) {
+        self.plans.clear();
+        self.requests.clear();
+        for (offset, link) in row.iter().enumerate() {
+            let node = first + offset;
+            let plan = match *link {
+                None => PlannedProbe::Idle,
+                Some(_) if faulty && !up[node] => PlannedProbe::SelfDown,
+                Some(Link { peer, key }) => {
+                    match first_attempt(network, &key, node, peer, faulty, up, nonces) {
+                        Ok(attempt) => {
+                            self.requests.push(ProbeRequest {
+                                a: node,
+                                b: peer,
+                                key,
+                                nonce: nonces.nonce(node, attempt),
+                            });
+                            PlannedProbe::Measured {
+                                peer,
+                                request: self.requests.len() - 1,
+                                retried: attempt > 0,
+                            }
+                        }
+                        Err(fate) => PlannedProbe::Failed { peer, fate },
+                    }
+                }
+            };
+            self.plans.push(plan);
+        }
+        network.smoothed_batch(&self.requests, &mut self.batch, &mut self.rtts);
+    }
+}
+
+/// The first attempt of `node`'s probe of `peer` that gets through,
+/// or the terminal fate when none does. Both endpoints up, only the
+/// link-fault gate decides each attempt. Bounded deterministic backoff:
+/// immediate re-probes under fresh retry-stream nonces, capped per
+/// tick. On a clean network the first attempt always gets through.
+fn first_attempt(
+    network: &Network,
+    key: &ProbeKey,
+    node: usize,
+    peer: usize,
+    faulty: bool,
+    up: &[bool],
+    nonces: &TickNonces,
+) -> Result<u32, ProbeFate> {
+    if !faulty {
+        return Ok(0);
+    }
+    if !up[peer] {
+        return Err(ProbeFate::PeerDown);
+    }
+    let mut fate = ProbeFate::Lost;
+    for attempt in 0..=PROBE_RETRIES {
+        match network.link_fate(key, nonces.nonce(node, attempt)) {
+            None => return Ok(attempt),
+            Some(ProbeOutcome::TimedOut) => fate = ProbeFate::TimedOut,
+            // The gate yields only `Lost` and `TimedOut`.
+            Some(_) => fate = ProbeFate::Lost,
+        }
+    }
+    Err(fate)
 }
 
 /// The probe nonces of one tick. The nonce of retry `attempt` of
@@ -320,7 +454,7 @@ impl VivaldiSimulation {
         // per node instead of O(n²) total. Both paper-scale populations
         // sit below the cap, so their candidate pools are the full scan.
         let mut neighbors = Vec::with_capacity(n);
-        let mut neighbor_keys = Vec::with_capacity(n);
+        let mut keys: Vec<Vec<ProbeKey>> = Vec::with_capacity(n);
         for node in 0..n {
             let candidates: Vec<(usize, f64)> =
                 if surveyors.contains(&node) || config.embed_against_surveyors_only {
@@ -353,7 +487,7 @@ impl VivaldiSimulation {
             // Every pool above is in ascending id order, so a binary
             // search finds each chosen peer's base RTT among the
             // candidates instead of re-reading the O(n²) store.
-            neighbor_keys.push(
+            keys.push(
                 chosen
                     .iter()
                     .map(
@@ -366,6 +500,23 @@ impl VivaldiSimulation {
             );
             neighbors.push(chosen);
         }
+        // The slot-major plan, written row by row from the node-major
+        // keys. Writing each node's slots straight into the table would
+        // scatter them over every row while the candidate scans evict
+        // the rows from cache: that measured slower than this pass.
+        let max_degree = neighbors.iter().map(Vec::len).max().unwrap_or(0);
+        let links = (0..max_degree)
+            .flat_map(|slot| {
+                let (neighbors, keys) = (&neighbors, &keys);
+                (0..n).map(move |node| {
+                    let peer = *neighbors[node].get(slot)?;
+                    Some(Link {
+                        peer,
+                        key: keys[node][slot],
+                    })
+                })
+            })
+            .collect();
 
         let participants = (0..n)
             .map(|id| Participant::Plain(VivaldiNode::new(id, vivaldi, seed)))
@@ -383,7 +534,7 @@ impl VivaldiSimulation {
             surveyors,
             malicious,
             neighbors,
-            neighbor_keys,
+            links,
             participants,
             registry: SurveyorRegistry::new(),
             traces: vec![TraceRing::with_capacity(TRACE_CAP); n],
@@ -392,6 +543,7 @@ impl VivaldiSimulation {
             rng,
             snapshot: CoordSnapshot::new(),
             up: Vec::new(),
+            probe_chunks: Vec::new(),
             probe_failures: vec![std::collections::BTreeMap::new(); n],
             pending_arms: BTreeSet::new(),
             defense: DefenseConfig::off(),
@@ -575,12 +727,15 @@ impl VivaldiSimulation {
     /// same immutable snapshot of the population.
     ///
     /// Phase 1 snapshots `(coordinate, local error)` per node; phase 2
-    /// fans the per-node work out over [`ices_par::par_map_mut`] (each
-    /// node mutates only itself); phase 3 merges the returned
-    /// [`StepEffect`]s in node order, applying trace appends, confusion
-    /// counts and neighbor replacements. Probe nonces come from
-    /// [`TickNonces`], so no phase depends on execution order and the
-    /// tick is bit-for-bit reproducible at any worker count.
+    /// plans every node's probe from the slot's `links` row and
+    /// measures the ones that get through, chunk by chunk
+    /// ([`ProbeChunk`]); phase 3 fans the per-node work out over
+    /// [`ices_par::par_map_mut`] (each node mutates only itself); phase
+    /// 4 merges the returned [`StepEffect`]s in node order, applying
+    /// trace appends, confusion counts and neighbor replacements. Probe
+    /// nonces come from [`TickNonces`], so no phase depends on
+    /// execution order and the tick is bit-for-bit reproducible at any
+    /// worker count.
     fn tick(&mut self, slot: usize, adversary: &dyn Adversary, collect_traces: bool) {
         let tick = self.tick;
         self.tick += 1;
@@ -602,8 +757,6 @@ impl VivaldiSimulation {
         }
 
         let network = &self.network;
-        let neighbors = &self.neighbors;
-        let neighbor_keys = &self.neighbor_keys;
         let nonces = TickNonces::new(tick);
         let snapshot = &self.snapshot;
         let faulty = !network.fault_plan().is_empty();
@@ -613,62 +766,67 @@ impl VivaldiSimulation {
         let up = &self.up;
         let defense = self.defense;
         let population = self.participants.len();
+
+        // Plan, then measure: each chunk settles its nodes' probe
+        // outcomes from the up mask and the link-fault gate, then
+        // measures every probe that gets through in one batched call.
+        // Every outcome is a pure function of (tick, node), so the
+        // chunking never shows in the results.
+        let row = &self.links[slot * population..(slot + 1) * population];
+        #[cfg(debug_assertions)]
+        for (node, link) in row.iter().enumerate() {
+            let expected = self.neighbors[node].get(slot).map(|&peer| Link {
+                peer,
+                key: network.probe_key(node, peer),
+            });
+            debug_assert_eq!(
+                *link, expected,
+                "probe plan of node {node} slot {slot} is stale"
+            );
+        }
+        self.probe_chunks
+            .resize_with(population.div_ceil(PROBE_CHUNK), ProbeChunk::default);
+        ices_par::par_map_mut(&mut self.probe_chunks, |c, chunk| {
+            let first = c * PROBE_CHUNK;
+            let last = (first + PROBE_CHUNK).min(population);
+            chunk.plan_and_measure(network, &row[first..last], first, faulty, up, &nonces);
+        });
+
+        let chunks = &self.probe_chunks;
         let effects = ices_par::par_map_mut(&mut self.participants, |node, participant| {
-            let degree = neighbors[node].len();
-            if degree == 0 || slot >= degree {
-                return StepEffect::default();
-            }
+            let chunk = &chunks[node / PROBE_CHUNK];
             let mut effect = StepEffect::default();
-            if faulty && !up[node] {
-                // Crashed for this epoch: the node does nothing and
-                // rejoins warm (coordinate intact) when the epoch turns.
-                effect.self_down = true;
-                return effect;
-            }
-            let peer = neighbors[node][slot];
-            let link = network.keyed_pair(node, peer, neighbor_keys[node][slot]);
-            let rtt = if !faulty {
-                link.smoothed(nonces.nonce(node, 0))
-            } else {
-                let mut measured = None;
-                if !up[peer] {
-                    effect.failed_probe = Some((peer, ProbeFate::PeerDown));
-                } else {
-                    // Both endpoints are up: only the link-fault gate
-                    // decides each attempt. Bounded deterministic
-                    // backoff: immediate re-probes under fresh
-                    // retry-stream nonces, capped per tick.
-                    let mut fate = ProbeFate::Lost;
-                    for attempt in 0..=PROBE_RETRIES {
-                        match link.try_smoothed(nonces.nonce(node, attempt)) {
-                            ProbeOutcome::Ok(r) => {
-                                measured = Some(r);
-                                effect.retried = attempt > 0;
-                                break;
-                            }
-                            ProbeOutcome::Lost => fate = ProbeFate::Lost,
-                            ProbeOutcome::TimedOut => fate = ProbeFate::TimedOut,
-                        }
-                    }
-                    match measured {
-                        Some(_) => effect.probe_ok_peer = Some(peer),
-                        None => effect.failed_probe = Some((peer, fate)),
-                    }
+            let (peer, rtt) = match chunk.plans[node % PROBE_CHUNK] {
+                PlannedProbe::Idle => return effect,
+                PlannedProbe::SelfDown => {
+                    // Crashed for this epoch: the node does nothing and
+                    // rejoins warm (coordinate intact) when the epoch turns.
+                    effect.self_down = true;
+                    return effect;
                 }
-                match measured {
-                    Some(r) => r,
-                    None => {
-                        // Missing sample: a secured node's detector
-                        // coasts (time-update only) so its innovation
-                        // statistics widen honestly; the embedding is
-                        // untouched either way. The coast itself runs in
-                        // the merge-phase batched sweep.
-                        if let Participant::Secured(_) = participant {
-                            effect.pending = Some(PendingVet::Coast);
-                            effect.coasted = true;
-                        }
-                        return effect;
+                PlannedProbe::Failed { peer, fate } => {
+                    effect.failed_probe = Some((peer, fate));
+                    // Missing sample: a secured node's detector coasts
+                    // (time-update only) so its innovation statistics
+                    // widen honestly; the embedding is untouched either
+                    // way. The coast itself runs in the merge-phase
+                    // batched sweep.
+                    if let Participant::Secured(_) = participant {
+                        effect.pending = Some(PendingVet::Coast);
+                        effect.coasted = true;
                     }
+                    return effect;
+                }
+                PlannedProbe::Measured {
+                    peer,
+                    request,
+                    retried,
+                } => {
+                    if faulty {
+                        effect.retried = retried;
+                        effect.probe_ok_peer = Some(peer);
+                    }
+                    (peer, chunk.rtts[request])
                 }
             };
             // Materialize only the peer coordinate; the honest path then
@@ -931,7 +1089,9 @@ impl VivaldiSimulation {
     /// eviction, eclipse poisoning) goes through here.
     fn set_neighbor(&mut self, node: usize, slot: usize, peer: usize) {
         self.neighbors[node][slot] = peer;
-        self.neighbor_keys[node][slot] = self.network.probe_key(node, peer);
+        let key = self.network.probe_key(node, peer);
+        let n = self.len();
+        self.links[slot * n + node] = Some(Link { peer, key });
     }
 
     /// Put `new` in the slot `old` holds in `node`'s neighbor set.
@@ -1572,10 +1732,33 @@ mod tests {
         );
     }
 
-    /// The cached per-slot probe keys (base RTT included) must equal a
-    /// fresh derivation after every kind of neighbor change — eclipse
-    /// poisoning, rejection replacements and dead-peer evictions — and
-    /// after a fault plan is attached or detached.
+    /// Every entry of the slot-major probe plan is the neighbor in its
+    /// slot with a freshly derived probe key (base RTT included); slots
+    /// past a node's degree are empty; there is one row per slot of the
+    /// largest neighbor set.
+    fn assert_links_in_step(sim: &VivaldiSimulation, when: &str) {
+        let n = sim.len();
+        let max_degree = sim.neighbors.iter().map(Vec::len).max().unwrap_or(0);
+        assert_eq!(sim.links.len(), max_degree * n, "{when}: one row per slot");
+        for node in 0..n {
+            for slot in 0..max_degree {
+                let expected = sim.neighbors[node].get(slot).map(|&peer| Link {
+                    peer,
+                    key: sim.network.probe_key(node, peer),
+                });
+                assert_eq!(
+                    sim.links[slot * n + node],
+                    expected,
+                    "{when}: node {node} slot {slot}"
+                );
+            }
+        }
+    }
+
+    /// The slot-major probe plan must equal a fresh derivation after
+    /// every kind of neighbor change — eclipse poisoning, rejection
+    /// replacements and dead-peer evictions — and after a fault plan is
+    /// attached or detached.
     #[test]
     fn neighbor_base_rtts_track_every_neighbor_change() {
         use ices_netsim::ChurnModel;
@@ -1586,15 +1769,7 @@ mod tests {
         };
         let mut sim = VivaldiSimulation::with_vivaldi_config(scenario(16), vivaldi);
         let assert_in_step = |sim: &VivaldiSimulation, when: &str| {
-            for node in 0..sim.len() {
-                for (slot, &peer) in sim.neighbors[node].iter().enumerate() {
-                    assert_eq!(
-                        sim.neighbor_keys[node][slot],
-                        sim.network.probe_key(node, peer),
-                        "{when}: node {node} slot {slot}"
-                    );
-                }
-            }
+            assert_links_in_step(sim, when);
         };
         assert_in_step(&sim, "after construction");
         let before: Vec<Vec<usize>> = sim.neighbors.clone();
@@ -1637,14 +1812,10 @@ mod tests {
     #[test]
     fn fault_plan_attached_after_new_leaves_keys_valid() {
         let mut sim = VivaldiSimulation::new(scenario(17));
-        let keys = sim.neighbor_keys.clone();
+        let links = sim.links.clone();
         sim.set_fault_plan(FaultPlan::lossy(0.1, 0.05));
-        assert_eq!(keys, sim.neighbor_keys);
-        for (node, peers) in sim.neighbors.iter().enumerate() {
-            for (slot, &peer) in peers.iter().enumerate() {
-                assert_eq!(keys[node][slot], sim.network.probe_key(node, peer));
-            }
-        }
+        assert_eq!(links, sim.links);
+        assert_links_in_step(&sim, "after attaching the fault plan");
         sim.run_clean(2);
         assert!(
             sim.report().faults.retried_probes > 0,

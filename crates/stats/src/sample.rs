@@ -8,20 +8,60 @@
 
 use rand::{Rng, RngExt};
 
-/// Draw a standard-normal variate using the Marsaglia polar method.
-///
-/// The polar method is branch-heavy but has no trig calls and no state;
-/// sampling is not on the simulator's hot path (RTT measurements dominate
-/// and those are one normal + one lognormal per probe).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// The accepted point `(u, s = u² + v²)` of one Marsaglia polar draw:
+/// everything a normal variate takes from the RNG, before any libm call.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PolarPoint {
+    /// The first uniform of the accepted pair, in `(-1, 1)`.
+    pub u: f64,
+    /// `u² + v²`, in `(0, 1)`.
+    pub s: f64,
+}
+
+/// The draw half of [`standard_normal`]: the RNG draws of the polar
+/// method up to its first accepted point. [`polar_normal`] finishes the
+/// variate, so a caller can make all of a batch's draws before any of
+/// its `ln`/`sqrt` calls.
+pub fn polar_draw<R: Rng + ?Sized>(rng: &mut R) -> PolarPoint {
     loop {
         let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
         let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
         let s = u * u + v * v;
         if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
+            return PolarPoint { u, s };
         }
     }
+}
+
+/// The transform half of [`standard_normal`]: `u·√(−2 ln s / s)`.
+#[inline]
+pub fn polar_normal(point: PolarPoint) -> f64 {
+    let PolarPoint { u, s } = point;
+    u * (-2.0 * s.ln() / s).sqrt()
+}
+
+/// Draw a standard-normal variate using the Marsaglia polar method.
+///
+/// The polar method is branch-heavy but has no trig calls and no state.
+/// It is [`polar_normal`] of [`polar_draw`]; the RTT noise model calls
+/// the two halves separately so that a batch of probes can run all of
+/// its draws, then all of its transcendentals.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    polar_normal(polar_draw(rng))
+}
+
+/// A normal variate with the given mean and standard deviation from an
+/// accepted polar point: [`normal`] without its RNG draws.
+///
+/// # Panics
+/// Panics if `std_dev` is negative or non-finite.
+#[inline]
+pub fn normal_from(point: PolarPoint, mean: f64, std_dev: f64) -> f64 {
+    assert!(
+        std_dev.is_finite() && std_dev >= 0.0,
+        "normal std_dev must be finite and non-negative, got {std_dev}"
+    );
+    mean + std_dev * polar_normal(point)
 }
 
 /// Draw a normal variate with the given mean and standard deviation.
@@ -29,11 +69,14 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// # Panics
 /// Panics if `std_dev` is negative or non-finite.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-    assert!(
-        std_dev.is_finite() && std_dev >= 0.0,
-        "normal std_dev must be finite and non-negative, got {std_dev}"
-    );
-    mean + std_dev * standard_normal(rng)
+    normal_from(polar_draw(rng), mean, std_dev)
+}
+
+/// A lognormal variate `exp(N(mu, sigma))` from an accepted polar
+/// point: [`lognormal`] without its RNG draws.
+#[inline]
+pub fn lognormal_from(point: PolarPoint, mu: f64, sigma: f64) -> f64 {
+    normal_from(point, mu, sigma).exp()
 }
 
 /// Draw a lognormal variate: `exp(N(mu, sigma))`.
@@ -41,7 +84,7 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
 /// `mu` and `sigma` parameterize the underlying normal, i.e. the median of
 /// the lognormal is `exp(mu)`.
 pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    normal(rng, mu, sigma).exp()
+    lognormal_from(polar_draw(rng), mu, sigma)
 }
 
 /// Draw an exponential variate with the given rate `λ` (mean `1/λ`).
@@ -55,6 +98,18 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
+/// A Pareto variate with scale `x_m > 0` and shape `alpha > 0` from its
+/// uniform `u ∈ [0, 1)`: [`pareto`] without its RNG draw.
+///
+/// # Panics
+/// Panics if either parameter is not strictly positive.
+#[inline]
+pub fn pareto_from(u: f64, scale: f64, shape: f64) -> f64 {
+    assert!(scale > 0.0, "pareto scale must be positive, got {scale}");
+    assert!(shape > 0.0, "pareto shape must be positive, got {shape}");
+    scale / (1.0 - u).powf(1.0 / shape)
+}
+
 /// Draw a Pareto variate with scale `x_m > 0` and shape `alpha > 0`.
 ///
 /// Used to model the rare, heavy-tailed RTT spikes (OS scheduling stalls,
@@ -63,10 +118,7 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 /// # Panics
 /// Panics if either parameter is not strictly positive.
 pub fn pareto<R: Rng + ?Sized>(rng: &mut R, scale: f64, shape: f64) -> f64 {
-    assert!(scale > 0.0, "pareto scale must be positive, got {scale}");
-    assert!(shape > 0.0, "pareto shape must be positive, got {shape}");
-    let u: f64 = rng.random();
-    scale / (1.0 - u).powf(1.0 / shape)
+    pareto_from(rng.random(), scale, shape)
 }
 
 /// Draw a uniform variate in `[low, high)`.

@@ -22,6 +22,9 @@ cargo test --workspace -q
 cargo test --release -q -p ices-nps
 cargo test --release -q -p ices-sim --test golden_pipeline --test determinism \
   --test chaos_determinism --test adversary_determinism --test obs_invariance
+# The batched probe passes and the split vet sweep, optimised: the
+# equivalence tests must hold where the passes are packed.
+cargo test --release -q -p ices-netsim -p ices-core
 
 # Static analysis: determinism & panic-hygiene invariants (also gated
 # in tier-1 via tests/audit_clean.rs; run here with --json for the
