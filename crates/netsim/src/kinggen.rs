@@ -18,11 +18,12 @@
 //!    (roughly 5–10% of triples).
 
 use crate::topology::RttMatrix;
-use ices_stats::rng::{stream_rng, stream_rng2};
-use ices_stats::sample;
-use rand::RngExt;
-use serde::{Deserialize, Serialize};
+use ices_stats::rng::{derive, derive2, stream_rng};
+use ices_stats::sample::{self, PolarPoint, StdDev};
 use ices_stats::streams;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 /// Placement of regions in the latent delay plane.
 ///
@@ -163,7 +164,82 @@ impl KingConfig {
         }
     }
 
-    /// The base RTT between distinct nodes `a` and `b` under `placement`.
+    /// Whether pairs carry a route-distortion factor at all; without
+    /// one no pair stream is drawn.
+    fn distorted(&self) -> bool {
+        self.distortion_sigma > 0.0 || self.distortion_bias > 0.0
+    }
+
+    /// The draw half of [`KingConfig::pair_rtt`]: seeds the pair stream
+    /// from `pair_seed` (`derive2(seed, lo, hi)`), then draws the
+    /// detour's sign and the polar point of its magnitude. No libm call
+    /// happens here, so a row of pairs can make all of its draws before
+    /// any `pair_transform`. Undistorted configs draw nothing.
+    #[inline]
+    fn pair_draw(&self, pair_seed: u64) -> PairDraw {
+        if !self.distorted() {
+            return PairDraw::default();
+        }
+        let (mut pair_rng, mut draw) = Self::pair_attempt(pair_seed);
+        if !draw.point.accepted() {
+            draw.point = sample::polar_draw(&mut pair_rng);
+        }
+        draw
+    }
+
+    /// [`KingConfig::pair_draw`] up to its first polar attempt, which
+    /// may be rejected, and the pair stream to go on from. Branch-free,
+    /// so a row makes every pair's attempt in one pass and goes back
+    /// only for the rejected ones.
+    #[inline]
+    fn pair_attempt(pair_seed: u64) -> (StdRng, PairDraw) {
+        // Per-pair deterministic stream so the value does not depend
+        // on evaluation order.
+        let mut pair_rng = StdRng::seed_from_u64(pair_seed);
+        let sign = if pair_rng.random::<f64>() < 0.5 {
+            -1.0
+        } else {
+            1.0
+        };
+        let point = sample::polar_attempt(&mut pair_rng);
+        (pair_rng, PairDraw { sign, point })
+    }
+
+    /// The transform half of [`KingConfig::pair_rtt`]: the route
+    /// distortion `exp(±(bias + N(0, σ)))` from `draw`, the planar
+    /// distance, the endpoint heights and the floor. It runs in four
+    /// steps — `ln s`, the detour exponent, `exp`, then the routed RTT
+    /// — which [`KingConfig::generate`] takes one pass at a time.
+    ///
+    /// # Panics
+    /// Panics if `lo` or `hi` is out of the placement.
+    #[inline]
+    fn pair_transform(
+        &self,
+        placement: &Placement,
+        lo: usize,
+        hi: usize,
+        draw: PairDraw,
+    ) -> f64 {
+        let distortion = if self.distorted() {
+            let sigma = StdDev::new(self.distortion_sigma);
+            draw.detour_exponent(draw.point.s.ln(), self.distortion_bias, sigma)
+                .exp()
+        } else {
+            1.0
+        };
+        routed_rtt(
+            (placement.positions[lo], placement.heights[lo]),
+            (placement.positions[hi], placement.heights[hi]),
+            distortion,
+            self.min_rtt_ms,
+        )
+    }
+
+    /// The base RTT between distinct nodes `a` and `b` under `placement`:
+    /// the transform half of the pair's draws (`pair_transform` of
+    /// `pair_draw`), the halves [`KingConfig::generate`] runs as
+    /// separate passes over each row.
     ///
     /// A pure function of `(seed, min(a,b), max(a,b))` and the endpoint
     /// ground truth: the route-distortion draw comes from the
@@ -177,29 +253,8 @@ impl KingConfig {
         assert_ne!(a, b, "pair_rtt needs two distinct nodes");
         let (lo, hi) = (a.min(b), a.max(b));
         assert!(hi < placement.positions.len(), "node {hi} out of placement");
-        let (xi, yi) = placement.positions[lo];
-        let (xj, yj) = placement.positions[hi];
-        let planar = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
-        let distortion = if self.distortion_sigma > 0.0 || self.distortion_bias > 0.0 {
-            // Per-pair deterministic stream so the value does not depend
-            // on evaluation order.
-            let mut pair_rng = stream_rng2(seed, lo as u64, hi as u64);
-            let sign = if pair_rng.random::<f64>() < 0.5 {
-                -1.0
-            } else {
-                1.0
-            };
-            let magnitude =
-                self.distortion_bias + sample::normal(&mut pair_rng, 0.0, self.distortion_sigma);
-            (sign * magnitude).exp()
-        } else {
-            1.0
-        };
-        // Distortion models transit-path inflation, so it applies to
-        // the planar (routed) component only; the access links are
-        // physical constants of each endpoint.
-        (planar * distortion + placement.heights[lo] + placement.heights[hi])
-            .max(self.min_rtt_ms)
+        let draw = self.pair_draw(derive2(seed, lo as u64, hi as u64));
+        self.pair_transform(placement, lo, hi, draw)
     }
 
     /// Generate the node placements and the dense base-RTT matrix.
@@ -209,20 +264,117 @@ impl KingConfig {
     /// against truth, and for the k-means Surveyor placement which the
     /// paper runs on coordinates). O(n²) memory — for large n, stream
     /// pairs through [`crate::SynthRtt`] instead; both derive every pair
-    /// from the same `(seed, lo, hi)` streams and agree bit-for-bit.
+    /// through the draw and transform halves of
+    /// [`KingConfig::pair_rtt`] and agree bit-for-bit.
+    ///
+    /// Each row of the upper triangle is filled in three passes: the
+    /// pair seeds (the row key hoisted out), every pair's draws, then
+    /// every pair's transform. The passes keep the integer hashing, the
+    /// polar method's rejections and the `ln`/`exp` calls apart, so
+    /// each runs as a tight loop of independent work: the draw pass
+    /// makes every pair's first polar attempt without a branch and
+    /// redraws only the rejected pairs, and the transform pass takes
+    /// its steps one at a time over the row.
     ///
     /// # Panics
     /// Panics if fewer than 2 nodes are requested or the layout is empty.
     pub fn generate(&self, seed: u64) -> Topology {
         let placement = self.place(seed);
-        let matrix =
-            RttMatrix::from_fn(self.nodes, |i, j| self.pair_rtt(seed, &placement, i, j));
+        let (positions, heights) = (&placement.positions, &placement.heights);
+        // By value, so the passes below see loop constants.
+        let (bias, floor) = (self.distortion_bias, self.min_rtt_ms);
+        let mut seeds = Vec::with_capacity(self.nodes);
+        let mut draws = Vec::with_capacity(self.nodes);
+        let mut retry = Vec::with_capacity(self.nodes);
+        let mut stretch = Vec::with_capacity(self.nodes);
+        let matrix = RttMatrix::from_rows(self.nodes, |lo, upper| {
+            // `derive2(seed, lo, hi)` with the row's half hoisted out.
+            let row_key = derive(seed, lo as u64);
+            seeds.clear();
+            seeds.extend((lo + 1..self.nodes).map(|hi| derive(row_key, hi as u64)));
+            stretch.clear();
+            if self.distorted() {
+                let sigma = StdDev::new(self.distortion_sigma);
+                // Every pair's first polar attempt, then the rejected
+                // ones (about a fifth) listed without a branch and drawn
+                // again in full.
+                draws.clear();
+                draws.extend(seeds.iter().map(|&s| Self::pair_attempt(s).1));
+                retry.resize(draws.len(), 0);
+                let mut retries = 0;
+                for (k, draw) in draws.iter().enumerate() {
+                    retry[retries] = k;
+                    retries += usize::from(!draw.point.accepted());
+                }
+                for &k in &retry[..retries] {
+                    draws[k] = self.pair_draw(seeds[k]);
+                }
+                // The transform, one step per pass: every `ln`, then the
+                // exponents, then every `exp`, then the routed RTTs.
+                stretch.extend(draws.iter().map(|d| d.point.s.ln()));
+                for (x, &draw) in stretch.iter_mut().zip(&draws) {
+                    *x = draw.detour_exponent(*x, bias, sigma);
+                }
+                for x in &mut stretch {
+                    *x = x.exp();
+                }
+            } else {
+                stretch.resize(seeds.len(), 1.0);
+            }
+            let near = (positions[lo], heights[lo]);
+            let later = positions[lo + 1..]
+                .iter()
+                .copied()
+                .zip(heights[lo + 1..].iter().copied());
+            upper.extend(
+                later
+                    .zip(&stretch)
+                    .map(|(far, &distortion)| routed_rtt(near, far, distortion, floor)),
+            );
+        });
         Topology {
             matrix,
             positions: placement.positions,
             heights: placement.heights,
             regions: placement.regions,
         }
+    }
+}
+
+/// The base RTT between two endpoints, each given as its latent position
+/// and access height, whose planar path is stretched by `distortion`,
+/// floored at `floor_ms`: the last step of `KingConfig::pair_transform`.
+#[inline]
+fn routed_rtt(
+    ((xi, yi), h_lo): ((f64, f64), f64),
+    ((xj, yj), h_hi): ((f64, f64), f64),
+    distortion: f64,
+    floor_ms: f64,
+) -> f64 {
+    let planar = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
+    // Distortion models transit-path inflation, so it applies to the
+    // planar (routed) component only; the access links are physical
+    // constants of each endpoint.
+    (planar * distortion + h_lo + h_hi).max(floor_ms)
+}
+
+/// The RNG draws of one pair's route distortion (`pair_draw`), kept
+/// apart from the arithmetic that turns them into a base RTT
+/// (`pair_transform`). Undistorted configs leave it at its default.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct PairDraw {
+    /// The detour's direction: `-1.0` (a shortcut) or `1.0`.
+    sign: f64,
+    /// The accepted polar point of the detour magnitude's normal.
+    point: PolarPoint,
+}
+
+impl PairDraw {
+    /// The exponent `±(bias + N(0, σ))` of the pair's route distortion,
+    /// given `ln s` of its polar point.
+    #[inline]
+    fn detour_exponent(self, ln_s: f64, bias: f64, sigma: StdDev) -> f64 {
+        self.sign * (bias + sample::normal_from_ln(self.point, ln_s, 0.0, sigma))
     }
 }
 

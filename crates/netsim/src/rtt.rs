@@ -186,6 +186,25 @@ impl RttStore {
         }
     }
 
+    /// Row `i` of the upper triangle, the base RTTs of `(i, i+1..n)` in
+    /// column order: borrowed from a dense store, computed into `buf`
+    /// for a streamed one.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn upper_row<'a>(&'a self, i: usize, buf: &'a mut Vec<f64>) -> &'a [f64] {
+        match self {
+            RttStore::Dense(m) => m.upper_row(i),
+            RttStore::Synth(s) => {
+                let n = s.node_count();
+                assert!(i < n, "node index out of range");
+                buf.clear();
+                buf.extend((i + 1..n).map(|j| s.base_rtt(i, j)));
+                buf
+            }
+        }
+    }
+
     /// Median pairwise base RTT: exact (the packed-triangle median) for
     /// dense stores, a deterministic streamed-sample estimate for
     /// synthesized ones. Both follow the same `total_cmp` ordering
@@ -234,6 +253,46 @@ mod tests {
                     topo.matrix.get(i, j).to_bits(),
                     "pair ({i}, {j}) diverged from the dense matrix"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn synth_matches_dense_generation_without_distortion() {
+        // Undistorted configs skip the pair streams on both paths; a
+        // bias with no spread keeps the streams but a zero σ.
+        for (sigma, bias) in [(0.0, 0.0), (0.0, 0.08)] {
+            let config = KingConfig {
+                distortion_sigma: sigma,
+                distortion_bias: bias,
+                ..KingConfig::small(50)
+            };
+            let topo = config.clone().generate(77);
+            let synth = SynthRtt::new(config, 77);
+            for i in 0..50 {
+                for j in (i + 1)..50 {
+                    assert_eq!(
+                        synth.base_rtt(i, j).to_bits(),
+                        topo.matrix.get(i, j).to_bits(),
+                        "σ {sigma}, bias {bias}: pair ({i}, {j}) diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn upper_rows_agree_between_dense_and_streamed_stores() {
+        let config = KingConfig::small(70);
+        let dense = RttStore::Dense(config.clone().generate(5).matrix);
+        let synth = RttStore::Synth(SynthRtt::new(config, 5));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..70 {
+            let (da, sb) = (dense.upper_row(i, &mut a), synth.upper_row(i, &mut b));
+            assert_eq!(da.len(), 70 - i - 1);
+            for (k, (x, y)) in da.iter().zip(sb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "row {i}, column {}", i + 1 + k);
+                assert_eq!(x.to_bits(), dense.base_rtt(i, i + 1 + k).to_bits());
             }
         }
     }

@@ -21,19 +21,45 @@ impl RttMatrix {
     /// # Panics
     /// Panics if `n < 2` or `f` produces a non-positive or non-finite RTT.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+        Self::from_rows(n, |i, upper| upper.extend((i + 1..n).map(|j| f(i, j))))
+    }
+
+    /// Build a matrix row by row: `fill(i, upper)` appends the entries
+    /// `(i, i+1..n)` to `upper`, in that order.
+    ///
+    /// # Panics
+    /// Panics if `n < 2` or `fill` appends the wrong number of entries,
+    /// or a non-positive or non-finite RTT.
+    pub(crate) fn from_rows(n: usize, mut fill: impl FnMut(usize, &mut Vec<f64>)) -> Self {
         assert!(n >= 2, "a topology needs at least 2 nodes, got {n}");
         let mut upper = Vec::with_capacity(n * (n - 1) / 2);
         for i in 0..n {
-            for j in (i + 1)..n {
-                let rtt = f(i, j);
+            let start = upper.len();
+            fill(i, &mut upper);
+            assert_eq!(
+                upper.len() - start,
+                n - i - 1,
+                "row {i} has the wrong length"
+            );
+            for (j, &rtt) in (i + 1..).zip(&upper[start..]) {
                 assert!(
                     rtt.is_finite() && rtt > 0.0,
                     "RTT({i},{j}) must be positive and finite, got {rtt}"
                 );
-                upper.push(rtt);
             }
         }
         Self { n, upper }
+    }
+
+    /// The entries `(i, i+1..n)` of row `i` of the upper triangle, in
+    /// column order.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn upper_row(&self, i: usize) -> &[f64] {
+        assert!(i < self.n, "node index out of range");
+        let start = i * (2 * self.n - i - 1) / 2;
+        &self.upper[start..start + (self.n - i - 1)]
     }
 
     /// Number of nodes.

@@ -32,4 +32,4 @@ pub mod simplex;
 pub use config::NpsConfig;
 pub use hierarchy::{Hierarchy, Role};
 pub use node::NpsNode;
-pub use simplex::{nelder_mead, NelderMeadResult, NelderMeadScratch, NelderMeadStats};
+pub use simplex::{NelderMeadScratch, NelderMeadStats};

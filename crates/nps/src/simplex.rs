@@ -14,8 +14,7 @@
 //! expansion/contraction candidate, vertex ordering) is a preallocated
 //! buffer reused across iterations and across calls. After the first
 //! call at a given dimensionality, an iteration performs zero heap
-//! allocations. The free function [`nelder_mead`] is a thin shim that
-//! builds a one-shot scratch, for callers that don't care.
+//! allocations.
 //!
 //! Bit-for-bit guarantee: `minimize` executes the exact floating-point
 //! operation sequence of the original allocating implementation — same
@@ -23,20 +22,6 @@
 //! vertex ordering maintains the permutation a stable sort of the
 //! identity produces, i.e. sorted by `(value, vertex index)`). The
 //! golden `to_bits` regression tests pin this.
-
-/// Result of a Nelder–Mead run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NelderMeadResult {
-    /// The best point found.
-    pub x: Vec<f64>,
-    /// Objective value at `x`.
-    pub value: f64,
-    /// Number of iterations executed.
-    pub iterations: usize,
-    /// Whether the simplex diameter converged below tolerance (as
-    /// opposed to hitting the iteration cap).
-    pub converged: bool,
-}
 
 /// Outcome of a scratch-based run; the best point itself stays in the
 /// scratch (read it with [`NelderMeadScratch::best_point`]) so the
@@ -390,39 +375,23 @@ impl NelderMeadScratch {
     }
 }
 
-/// Minimize `f` starting from `x0`, building the initial simplex by
-/// stepping `initial_step` along each axis.
-///
-/// Stops when the simplex's objective spread and diameter fall below
-/// `tol`, or after `max_iter` iterations.
-///
-/// Thin shim over [`NelderMeadScratch::minimize`] for one-shot callers;
-/// hot paths should hold a scratch and call it directly.
-///
-/// # Panics
-/// Panics if `x0` is empty, `initial_step` is not positive, `tol` is not
-/// positive, or `f` returns NaN at the starting point.
-pub fn nelder_mead(
-    f: impl FnMut(&[f64]) -> f64,
-    x0: &[f64],
-    initial_step: f64,
-    max_iter: usize,
-    tol: f64,
-) -> NelderMeadResult {
-    let mut scratch = NelderMeadScratch::new();
-    let stats = scratch.minimize(f, x0, initial_step, max_iter, tol);
-    NelderMeadResult {
-        x: scratch.best_x,
-        value: stats.value,
-        iterations: stats.iterations,
-        converged: stats.converged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One solve on a fresh workspace: the best point and the stats.
+    fn solve(
+        f: impl FnMut(&[f64]) -> f64,
+        x0: &[f64],
+        initial_step: f64,
+        max_iter: usize,
+        tol: f64,
+    ) -> (Vec<f64>, NelderMeadStats) {
+        let mut scratch = NelderMeadScratch::new();
+        let stats = scratch.minimize(f, x0, initial_step, max_iter, tol);
+        (scratch.best_point().to_vec(), stats)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
@@ -465,7 +434,7 @@ mod tests {
 
     #[test]
     fn minimizes_quadratic_bowl() {
-        let r = nelder_mead(
+        let (x, r) = solve(
             |x| x.iter().map(|v| (v - 3.0) * (v - 3.0)).sum(),
             &[0.0, 0.0, 0.0],
             1.0,
@@ -473,8 +442,8 @@ mod tests {
             1e-10,
         );
         assert!(r.converged);
-        for v in &r.x {
-            assert!((v - 3.0).abs() < 1e-4, "x = {:?}", r.x);
+        for v in &x {
+            assert!((v - 3.0).abs() < 1e-4, "x = {x:?}");
         }
         assert!(r.value < 1e-8);
     }
@@ -485,11 +454,10 @@ mod tests {
             let (a, b) = (x[0], x[1]);
             (1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2)
         };
-        let r = nelder_mead(rosen, &[-1.2, 1.0], 0.5, 5000, 1e-12);
+        let (x, _) = solve(rosen, &[-1.2, 1.0], 0.5, 5000, 1e-12);
         assert!(
-            (r.x[0] - 1.0).abs() < 1e-3 && (r.x[1] - 1.0).abs() < 1e-3,
-            "x = {:?}",
-            r.x
+            (x[0] - 1.0).abs() < 1e-3 && (x[1] - 1.0).abs() < 1e-3,
+            "x = {x:?}"
         );
     }
 
@@ -497,7 +465,7 @@ mod tests {
     fn handles_non_smooth_objective() {
         // |x| + |y| has a kink at the optimum; simplex should still land
         // close.
-        let r = nelder_mead(
+        let (_, r) = solve(
             |x| x.iter().map(|v| v.abs()).sum(),
             &[5.0, -7.0],
             1.0,
@@ -509,14 +477,14 @@ mod tests {
 
     #[test]
     fn one_dimensional_works() {
-        let r = nelder_mead(|x| (x[0] + 2.0).powi(2) + 1.0, &[10.0], 1.0, 1000, 1e-12);
-        assert!((r.x[0] + 2.0).abs() < 1e-4);
+        let (x, r) = solve(|x| (x[0] + 2.0).powi(2) + 1.0, &[10.0], 1.0, 1000, 1e-12);
+        assert!((x[0] + 2.0).abs() < 1e-4);
         assert!((r.value - 1.0).abs() < 1e-8);
     }
 
     #[test]
     fn respects_iteration_cap() {
-        let r = nelder_mead(
+        let (_, r) = solve(
             |x| x.iter().map(|v| v * v).sum(),
             &[100.0; 8],
             1.0,
@@ -558,11 +526,10 @@ mod tests {
                 })
                 .sum()
         };
-        let r = nelder_mead(objective, &[0.0, 0.0], 10.0, 5000, 1e-14);
+        let (x, _) = solve(objective, &[0.0, 0.0], 10.0, 5000, 1e-14);
         assert!(
-            (r.x[0] - truth[0]).abs() < 0.01 && (r.x[1] - truth[1]).abs() < 0.01,
-            "recovered {:?}",
-            r.x
+            (x[0] - truth[0]).abs() < 0.01 && (x[1] - truth[1]).abs() < 0.01,
+            "recovered {x:?}"
         );
     }
 
@@ -578,16 +545,16 @@ mod tests {
         let mut scratch = NelderMeadScratch::new();
         for _ in 0..3 {
             let stats = scratch.minimize(rosen, &[-1.2, 1.0], 0.5, 5000, 1e-12);
-            let fresh = nelder_mead(rosen, &[-1.2, 1.0], 0.5, 5000, 1e-12);
-            assert_eq!(scratch.best_point(), &fresh.x[..]);
+            let (x, fresh) = solve(rosen, &[-1.2, 1.0], 0.5, 5000, 1e-12);
+            assert_eq!(scratch.best_point(), &x[..]);
             assert_eq!(stats.value.to_bits(), fresh.value.to_bits());
             assert_eq!(stats.iterations, fresh.iterations);
             assert_eq!(stats.converged, fresh.converged);
 
             // Interleave a different dimensionality to exercise regrowth.
             let stats = scratch.minimize(bowl, &[0.0; 5], 1.0, 2000, 1e-10);
-            let fresh = nelder_mead(bowl, &[0.0; 5], 1.0, 2000, 1e-10);
-            assert_eq!(scratch.best_point(), &fresh.x[..]);
+            let (x, fresh) = solve(bowl, &[0.0; 5], 1.0, 2000, 1e-10);
+            assert_eq!(scratch.best_point(), &x[..]);
             assert_eq!(stats.value.to_bits(), fresh.value.to_bits());
         }
     }
@@ -597,21 +564,21 @@ mod tests {
         // A flat objective makes every vertex value identical, so the
         // ordering is decided purely by the stable-sort index tie-break;
         // every iteration shrinks until the diameter converges.
-        let r = nelder_mead(|_| 1.0, &[2.0, 4.0], 1.0, 100, 1e-6);
+        let (x, r) = solve(|_| 1.0, &[2.0, 4.0], 1.0, 100, 1e-6);
         assert_eq!(r.value, 1.0);
         assert!(r.converged, "flat objective converges by diameter");
-        assert_eq!(r.x, vec![2.0, 4.0], "tie-break keeps the first vertex");
+        assert_eq!(x, vec![2.0, 4.0], "tie-break keeps the first vertex");
     }
 
     #[test]
     #[should_panic(expected = "initial_step must be positive")]
     fn rejects_zero_step() {
-        nelder_mead(|x| x[0], &[0.0], 0.0, 10, 1e-6);
+        solve(|x| x[0], &[0.0], 0.0, 10, 1e-6);
     }
 
     #[test]
     #[should_panic(expected = "zero-dimensional")]
     fn rejects_empty_start() {
-        nelder_mead(|_| 0.0, &[], 1.0, 10, 1e-6);
+        solve(|_| 0.0, &[], 1.0, 10, 1e-6);
     }
 }

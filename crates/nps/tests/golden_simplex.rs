@@ -7,7 +7,7 @@
 //! changing the vertex tie-break, fusing operations — fails here loudly
 //! instead of silently shifting every simulation result downstream.
 
-use ices_nps::{nelder_mead, NelderMeadResult};
+use ices_nps::{NelderMeadScratch, NelderMeadStats};
 
 fn dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
@@ -17,10 +17,29 @@ fn dist(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
+/// One solve on a fresh workspace: the best point and the stats.
+fn solve(
+    f: impl FnMut(&[f64]) -> f64,
+    x0: &[f64],
+    initial_step: f64,
+    max_iter: usize,
+    tol: f64,
+) -> (Vec<f64>, NelderMeadStats) {
+    let mut scratch = NelderMeadScratch::new();
+    let stats = scratch.minimize(f, x0, initial_step, max_iter, tol);
+    (scratch.best_point().to_vec(), stats)
+}
+
 #[track_caller]
-fn assert_bits(r: &NelderMeadResult, x_bits: &[u64], value_bits: u64, iterations: usize, converged: bool) {
-    let got: Vec<u64> = r.x.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, x_bits, "x drifted: {:?}", r.x);
+fn assert_bits(
+    (x, r): &(Vec<f64>, NelderMeadStats),
+    x_bits: &[u64],
+    value_bits: u64,
+    iterations: usize,
+    converged: bool,
+) {
+    let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, x_bits, "x drifted: {x:?}");
     assert_eq!(r.value.to_bits(), value_bits, "value drifted: {}", r.value);
     assert_eq!(r.iterations, iterations, "iteration count drifted");
     assert_eq!(r.converged, converged, "convergence flag drifted");
@@ -32,7 +51,7 @@ fn rosenbrock_2d_bits_are_stable() {
         let (a, b) = (x[0], x[1]);
         (1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2)
     };
-    let r = nelder_mead(rosen, &[-1.2, 1.0], 0.5, 5000, 1e-12);
+    let r = solve(rosen, &[-1.2, 1.0], 0.5, 5000, 1e-12);
     assert_bits(
         &r,
         &[4607182418800017448, 4607182418800017573],
@@ -65,7 +84,7 @@ fn gnp_2d_objective_bits_are_stable() {
             })
             .sum()
     };
-    let r = nelder_mead(objective, &[0.0, 0.0], 10.0, 5000, 1e-14);
+    let r = solve(objective, &[0.0, 0.0], 10.0, 5000, 1e-14);
     assert_bits(
         &r,
         &[4630404104378646528, 4633781804099174400],
@@ -105,7 +124,7 @@ fn gnp_8d_objective_bits_are_stable() {
             })
             .sum()
     };
-    let r = nelder_mead(objective, &[0.0; 8], 25.0, 600, 1e-8);
+    let r = solve(objective, &[0.0; 8], 25.0, 600, 1e-8);
     assert_bits(
         &r,
         &[

@@ -2,7 +2,7 @@
 //! contracts and node round behavior over randomized inputs.
 
 use ices_coord::{Coordinate, Embedding, PeerSample, Space};
-use ices_nps::{nelder_mead, NpsConfig, NpsNode};
+use ices_nps::{NelderMeadScratch, NpsConfig, NpsNode};
 use proptest::prelude::*;
 
 proptest! {
@@ -20,9 +20,10 @@ proptest! {
             x.iter().zip(&center).map(|(a, b)| (a - b) * (a - b)).sum()
         };
         let start_value = f(&x0);
-        let r = nelder_mead(f, &x0, 1.0, 300, 1e-10);
+        let mut scratch = NelderMeadScratch::new();
+        let r = scratch.minimize(f, &x0, 1.0, 300, 1e-10);
         prop_assert!(r.value <= start_value + 1e-12);
-        prop_assert!(r.x.iter().all(|v| v.is_finite()));
+        prop_assert!(scratch.best_point().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -34,8 +35,9 @@ proptest! {
             x.iter().zip(&c).map(|(a, b)| (a - b) * (a - b)).sum()
         };
         let x0 = vec![0.0; center.len()];
-        let r = nelder_mead(f, &x0, 2.0, 4000, 1e-12);
-        for (got, want) in r.x.iter().zip(&center) {
+        let mut scratch = NelderMeadScratch::new();
+        scratch.minimize(f, &x0, 2.0, 4000, 1e-12);
+        for (got, want) in scratch.best_point().iter().zip(&center) {
             prop_assert!((got - want).abs() < 0.01, "got {got}, want {want}");
         }
     }

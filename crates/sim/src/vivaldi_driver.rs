@@ -48,7 +48,7 @@ use ices_netsim::{
 use ices_stats::kmeans::kmeans;
 use ices_stats::rng::{derive, derive2, SimRng};
 use ices_stats::sample::sample_indices;
-use ices_vivaldi::{select_neighbors, VivaldiConfig, VivaldiNode};
+use ices_vivaldi::{select_neighbors, ClosePeers, VivaldiConfig, VivaldiNode};
 use rand::RngExt;
 use std::collections::BTreeSet;
 use ices_stats::streams;
@@ -452,58 +452,84 @@ impl VivaldiSimulation {
         // population — or, above [`NEIGHBOR_CANDIDATE_CAP`], from a
         // bounded per-node candidate sample so construction stays O(n)
         // per node instead of O(n²) total. Both paper-scale populations
-        // sit below the cap, so their candidate pools are the full scan.
+        // sit below the cap, so their candidate pools are the full scan:
+        // close/far pools filled from the store's upper triangle one row
+        // per node, in row-major order. Node `i`'s pools are complete
+        // once its own row is in, and the peers after it are in that row.
+        let mut full_scan = (!config.embed_against_surveyors_only
+            && n - 1 <= NEIGHBOR_CANDIDATE_CAP)
+            .then(|| ClosePeers::new(n));
+        let mut row = Vec::new();
         let mut neighbors = Vec::with_capacity(n);
         let mut keys: Vec<Vec<ProbeKey>> = Vec::with_capacity(n);
         for node in 0..n {
-            let candidates: Vec<(usize, f64)> =
-                if surveyors.contains(&node) || config.embed_against_surveyors_only {
-                    surveyors
+            let later = full_scan.as_mut().map(|pools| {
+                let later = network.rtt_store().upper_row(node, &mut row);
+                pools.add_row(node, later, vivaldi.close_threshold_ms);
+                later
+            });
+            let surveyor_only = surveyors.contains(&node) || config.embed_against_surveyors_only;
+            let (chosen, node_keys) = match (&full_scan, later) {
+                (Some(pools), Some(later)) if !surveyor_only => {
+                    let chosen = pools.select(node, &vivaldi, &mut rng);
+                    // A later peer's base RTT is in the row just read.
+                    let base = |p: usize| match p.checked_sub(node + 1) {
+                        Some(k) => later[k],
+                        None => network.base_rtt(node, p),
+                    };
+                    let node_keys = chosen
                         .iter()
-                        .filter(|&&s| s != node)
-                        .map(|&s| (s, network.base_rtt(node, s)))
-                        .collect()
-                } else if n - 1 <= NEIGHBOR_CANDIDATE_CAP {
-                    (0..n)
-                        .filter(|&p| p != node)
-                        .map(|p| (p, network.base_rtt(node, p)))
-                        .collect()
-                } else {
-                    // Distinct draws from a per-node stream: deterministic
-                    // in (seed, node), independent of construction order.
-                    let mut pool_rng = SimRng::from_stream(seed, streams::NCND, node as u64);
-                    let mut pool = BTreeSet::new();
-                    while pool.len() < NEIGHBOR_CANDIDATE_SAMPLE {
-                        let p = pool_rng.random_range(0..n);
-                        if p != node {
-                            pool.insert(p);
+                        .map(|&p| network.probe_key_with_base(node, p, base(p)))
+                        .collect();
+                    (chosen, node_keys)
+                }
+                _ => {
+                    let candidates: Vec<(usize, f64)> = if surveyor_only {
+                        surveyors
+                            .iter()
+                            .filter(|&&s| s != node)
+                            .map(|&s| (s, network.base_rtt(node, s)))
+                            .collect()
+                    } else {
+                        // Distinct draws from a per-node stream:
+                        // deterministic in (seed, node), independent of
+                        // construction order.
+                        let mut pool_rng = SimRng::from_stream(seed, streams::NCND, node as u64);
+                        let mut pool = BTreeSet::new();
+                        while pool.len() < NEIGHBOR_CANDIDATE_SAMPLE {
+                            let p = pool_rng.random_range(0..n);
+                            if p != node {
+                                pool.insert(p);
+                            }
                         }
-                    }
-                    pool.into_iter()
-                        .map(|p| (p, network.base_rtt(node, p)))
-                        .collect()
-                };
-            let chosen = select_neighbors(&candidates, &vivaldi, &mut rng);
-            // Every pool above is in ascending id order, so a binary
-            // search finds each chosen peer's base RTT among the
-            // candidates instead of re-reading the O(n²) store.
-            keys.push(
-                chosen
-                    .iter()
-                    .map(
-                        |&p| match candidates.binary_search_by_key(&p, |&(id, _)| id) {
-                            Ok(i) => network.probe_key_with_base(node, p, candidates[i].1),
-                            Err(_) => network.probe_key(node, p),
-                        },
-                    )
-                    .collect(),
-            );
+                        pool.into_iter()
+                            .map(|p| (p, network.base_rtt(node, p)))
+                            .collect()
+                    };
+                    let chosen = select_neighbors(&candidates, &vivaldi, &mut rng);
+                    // Both candidate pools above are in ascending id
+                    // order, so a binary search finds each chosen peer's
+                    // base RTT among the candidates instead of re-reading
+                    // the store.
+                    let node_keys = chosen
+                        .iter()
+                        .map(
+                            |&p| match candidates.binary_search_by_key(&p, |&(id, _)| id) {
+                                Ok(i) => network.probe_key_with_base(node, p, candidates[i].1),
+                                Err(_) => network.probe_key(node, p),
+                            },
+                        )
+                        .collect();
+                    (chosen, node_keys)
+                }
+            };
+            keys.push(node_keys);
             neighbors.push(chosen);
         }
         // The slot-major plan, written row by row from the node-major
         // keys. Writing each node's slots straight into the table would
-        // scatter them over every row while the candidate scans evict
-        // the rows from cache: that measured slower than this pass.
+        // scatter them over every row while the matrix reads evict the
+        // table from cache: that measured slower than this pass.
         let max_degree = neighbors.iter().map(Vec::len).max().unwrap_or(0);
         let links = (0..max_degree)
             .flat_map(|slot| {

@@ -18,17 +18,35 @@ pub struct PolarPoint {
     pub s: f64,
 }
 
+impl PolarPoint {
+    /// Whether the polar method accepts the point: `0 < s < 1`.
+    #[inline]
+    pub fn accepted(self) -> bool {
+        self.s > 0.0 && self.s < 1.0
+    }
+}
+
+/// One attempt of the polar method: two uniforms on `(-1, 1)`, whether
+/// or not the point they make is [`PolarPoint::accepted`].
+#[inline]
+pub fn polar_attempt<R: Rng + ?Sized>(rng: &mut R) -> PolarPoint {
+    let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
+    let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
+    PolarPoint {
+        u,
+        s: u * u + v * v,
+    }
+}
+
 /// The draw half of [`standard_normal`]: the RNG draws of the polar
 /// method up to its first accepted point. [`polar_normal`] finishes the
 /// variate, so a caller can make all of a batch's draws before any of
 /// its `ln`/`sqrt` calls.
 pub fn polar_draw<R: Rng + ?Sized>(rng: &mut R) -> PolarPoint {
     loop {
-        let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
-        let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return PolarPoint { u, s };
+        let point = polar_attempt(rng);
+        if point.accepted() {
+            return point;
         }
     }
 }
@@ -36,8 +54,16 @@ pub fn polar_draw<R: Rng + ?Sized>(rng: &mut R) -> PolarPoint {
 /// The transform half of [`standard_normal`]: `u·√(−2 ln s / s)`.
 #[inline]
 pub fn polar_normal(point: PolarPoint) -> f64 {
+    polar_normal_ln(point, point.s.ln())
+}
+
+/// [`polar_normal`] with `ln s` already taken: everything after its
+/// one libm call, so a batch can take all of its logarithms in one
+/// pass and the rest in another.
+#[inline]
+fn polar_normal_ln(point: PolarPoint, ln_s: f64) -> f64 {
     let PolarPoint { u, s } = point;
-    u * (-2.0 * s.ln() / s).sqrt()
+    u * (-2.0 * ln_s / s).sqrt()
 }
 
 /// Draw a standard-normal variate using the Marsaglia polar method.
@@ -57,11 +83,36 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Panics if `std_dev` is negative or non-finite.
 #[inline]
 pub fn normal_from(point: PolarPoint, mean: f64, std_dev: f64) -> f64 {
-    assert!(
-        std_dev.is_finite() && std_dev >= 0.0,
-        "normal std_dev must be finite and non-negative, got {std_dev}"
-    );
-    mean + std_dev * polar_normal(point)
+    normal_from_ln(point, point.s.ln(), mean, StdDev::new(std_dev))
+}
+
+/// A standard deviation checked once: finite and non-negative. A batch
+/// of variates sharing one takes [`normal_from_ln`] without a check per
+/// variate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StdDev(f64);
+
+impl StdDev {
+    /// Check `std_dev`.
+    ///
+    /// # Panics
+    /// Panics if `std_dev` is negative or non-finite.
+    #[inline]
+    pub fn new(std_dev: f64) -> Self {
+        assert!(
+            std_dev.is_finite() && std_dev >= 0.0,
+            "normal std_dev must be finite and non-negative, got {std_dev}"
+        );
+        Self(std_dev)
+    }
+}
+
+/// [`normal_from`] with `ln s` of the point already taken and the
+/// standard deviation already checked, so a batch can take all of its
+/// logarithms in one pass and check its σ once.
+#[inline]
+pub fn normal_from_ln(point: PolarPoint, ln_s: f64, mean: f64, std_dev: StdDev) -> f64 {
+    mean + std_dev.0 * polar_normal_ln(point, ln_s)
 }
 
 /// Draw a normal variate with the given mean and standard deviation.
@@ -130,19 +181,53 @@ pub fn uniform<R: Rng + ?Sized>(rng: &mut R, low: f64, high: f64) -> f64 {
     low + (high - low) * rng.random::<f64>()
 }
 
-/// Sample `k` distinct indices from `0..n` (a simple partial Fisher–Yates).
+/// Sample `k` distinct indices from `0..n` (a partial Fisher–Yates).
+///
+/// Step `i` draws `j` uniformly from `i..n` and swaps pool positions `i`
+/// and `j`; the first `k` positions are the sample. When `k` is small
+/// against `n` the pool `0..n` is never built: a short list of the
+/// positions the swaps have displaced stands in for it, with the same
+/// draws and the same output.
 ///
 /// # Panics
 /// Panics if `k > n`.
 pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
     assert!(k <= n, "cannot sample {k} distinct items from {n}");
-    let mut pool: Vec<usize> = (0..n).collect();
+    // A lookup scans the displaced list, so the sparse pool costs about
+    // k²/2 comparisons against the dense pool's n writes.
+    if k.saturating_mul(k) / 2 > n {
+        let mut pool: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + rng.random_range(0..n - i);
+            pool.swap(i, j);
+        }
+        pool.truncate(k);
+        return pool;
+    }
+    // `(position, value)` for every position at or past `i` whose value
+    // is no longer the position itself.
+    let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(k);
+    let mut sample = Vec::with_capacity(k);
     for i in 0..k {
         let j = i + rng.random_range(0..n - i);
-        pool.swap(i, j);
+        // Position `i` is final after this step, so its entry goes.
+        let value_i = match displaced.iter().position(|&(p, _)| p == i) {
+            Some(e) => displaced.swap_remove(e).1,
+            None => i,
+        };
+        if j == i {
+            sample.push(value_i);
+            continue;
+        }
+        match displaced.iter_mut().find(|(p, _)| *p == j) {
+            Some(entry) => sample.push(std::mem::replace(&mut entry.1, value_i)),
+            None => {
+                sample.push(j);
+                displaced.push((j, value_i));
+            }
+        }
     }
-    pool.truncate(k);
-    pool
+    sample
 }
 
 #[cfg(test)]
@@ -150,6 +235,7 @@ mod tests {
     use super::*;
     use crate::online::OnlineStats;
     use crate::rng::stream_rng;
+    use proptest::prelude::*;
 
     fn collect<F: FnMut(&mut rand::rngs::StdRng) -> f64>(
         seed: u64,
@@ -236,6 +322,49 @@ mod tests {
         let mut sample = sample_indices(&mut rng, 10, 10);
         sample.sort_unstable();
         assert_eq!(sample, (0..10).collect::<Vec<_>>());
+    }
+
+    /// The textbook partial Fisher–Yates over a materialized pool: the
+    /// oracle [`sample_indices`] must match draw for draw.
+    fn dense_sample_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
+        let mut pool: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + rng.random_range(0..n - i);
+            pool.swap(i, j);
+        }
+        pool.truncate(k);
+        pool
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sample_indices_matches_the_dense_pool(
+            n in 1usize..4097,
+            shape in 0u32..6,
+            frac in 0f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            // k ∈ {0, 1, random, random small (the sparse pool), n−1, n}.
+            let small = ((2 * n) as f64).sqrt() as usize;
+            let k = match shape {
+                0 => 0,
+                1 => 1,
+                2 => ((n + 1) as f64 * frac) as usize,
+                3 => ((small + 1) as f64 * frac) as usize,
+                4 => n - 1,
+                _ => n,
+            }
+            .min(n);
+            let mut fast = stream_rng(seed, 0);
+            let mut oracle = fast.clone();
+            prop_assert_eq!(
+                sample_indices(&mut fast, n, k),
+                dense_sample_indices(&mut oracle, n, k)
+            );
+            prop_assert_eq!(fast, oracle);
+        }
     }
 
     #[test]

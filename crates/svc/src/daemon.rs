@@ -423,10 +423,12 @@ impl ServiceCore {
         let Some(node) = self.node.as_mut() else {
             return; // dispatch() only queues claims while armed
         };
-        let events: Vec<VetEvent> = claims
-            .iter()
-            .map(|c| VetEvent::Sample(c.sample.clone()))
-            .collect();
+        // The samples move into the sweep; each claim's reply slot and
+        // nonce stay behind, in claim order.
+        let (events, routes): (Vec<VetEvent>, Vec<(usize, u64)>) = claims
+            .into_iter()
+            .map(|c| (VetEvent::Sample(c.sample), (c.slot, c.nonce)))
+            .unzip();
         // Every event is a sample, so every claim gets exactly one step.
         let (registry, counters) = (&mut self.registry, &self.counters);
         vet_sequences(&mut self.bank, &mut [node], &[events], |_, k, step| {
@@ -448,10 +450,10 @@ impl ServiceCore {
                     (Disposition::Rejected, verdict.innovation, verdict.threshold)
                 }
             };
-            let claim = &claims[k];
-            if let Some(out) = replies.get_mut(claim.slot) {
+            let (slot, nonce) = routes[k];
+            if let Some(out) = replies.get_mut(slot) {
                 *out = Some(Message::UpdateVerdict {
-                    nonce: claim.nonce,
+                    nonce,
                     disposition,
                     innovation,
                     threshold,

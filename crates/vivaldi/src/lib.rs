@@ -31,5 +31,5 @@ pub mod neighbors;
 pub mod node;
 
 pub use config::VivaldiConfig;
-pub use neighbors::select_neighbors;
+pub use neighbors::{select_neighbors, ClosePeers};
 pub use node::VivaldiNode;

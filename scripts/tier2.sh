@@ -22,9 +22,13 @@ cargo test --workspace -q
 cargo test --release -q -p ices-nps
 cargo test --release -q -p ices-sim --test golden_pipeline --test determinism \
   --test chaos_determinism --test adversary_determinism --test obs_invariance
-# The batched probe passes and the split vet sweep, optimised: the
-# equivalence tests must hold where the passes are packed.
-cargo test --release -q -p ices-netsim -p ices-core
+# The batched probe passes, the split vet sweep and the pass-built King
+# construction (row fill, close/far pools, sparse index sampler),
+# optimised: the equivalence tests must hold where the passes are
+# packed, and the construction goldens pin the 1740-node matrix and
+# neighbour sets.
+cargo test --release -q -p ices-netsim -p ices-core -p ices-stats -p ices-vivaldi
+cargo test --release -q -p ices-sim --test golden_construction
 
 # Static analysis: determinism & panic-hygiene invariants (also gated
 # in tier-1 via tests/audit_clean.rs; run here with --json for the
