@@ -15,6 +15,21 @@ pub struct RttMatrix {
     upper: Vec<f64>,
 }
 
+/// Key bits of [`RttMatrix::median`]'s histogram: 16 bits are the sign,
+/// the exponent and 4 mantissa bits, so a bucket spans a sixteenth of an
+/// octave of RTTs.
+const MEDIAN_BUCKET_BITS: u32 = 16;
+
+/// `x`'s position in [`f64::total_cmp`] order as an unsigned integer.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 impl RttMatrix {
     /// Build a matrix by evaluating `f(i, j)` for every pair `i < j`.
     ///
@@ -116,11 +131,51 @@ impl RttMatrix {
     }
 
     /// Median RTT over all pairs: the upper middle element in
-    /// [`f64::total_cmp`] order (a selection, not a full sort).
+    /// [`f64::total_cmp`] order.
+    ///
+    /// Found without copying the triangle: one pass counts the RTTs per
+    /// bucket of the top [`MEDIAN_BUCKET_BITS`] bits of their order key,
+    /// which finds the bucket holding the middle rank; a selection among
+    /// that bucket's few members then finds the element. Keys order as
+    /// `total_cmp` does, so this is the element a sort would put there.
     pub fn median(&self) -> f64 {
-        let mut v = self.upper.clone();
-        let mid = v.len() / 2;
-        *v.select_nth_unstable_by(mid, f64::total_cmp).1
+        let bucket_of = |x: f64| (total_order_key(x) >> (64 - MEDIAN_BUCKET_BITS)) as usize;
+        let mid = self.upper.len() / 2;
+        // Four interleaved histograms, so runs of equal buckets do not
+        // chain one increment on the next.
+        let buckets = 1 << MEDIAN_BUCKET_BITS;
+        let mut counts = vec![0u32; 4 * buckets];
+        let mut quads = self.upper.chunks_exact(4);
+        for quad in &mut quads {
+            for (h, &x) in quad.iter().enumerate() {
+                counts[h * buckets + bucket_of(x)] += 1;
+            }
+        }
+        for &x in quads.remainder() {
+            counts[bucket_of(x)] += 1;
+        }
+        // The bucket holding rank `mid`, and the ranks below it.
+        let mut below = 0;
+        let mut bucket = 0;
+        for b in 0..buckets {
+            let count = (0..4)
+                .map(|h| counts[h * buckets + b] as usize)
+                .sum::<usize>();
+            if below + count > mid {
+                bucket = b;
+                break;
+            }
+            below += count;
+        }
+        let mut members: Vec<f64> = self
+            .upper
+            .iter()
+            .copied()
+            .filter(|&x| bucket_of(x) == bucket)
+            .collect();
+        *members
+            .select_nth_unstable_by(mid - below, f64::total_cmp)
+            .1
     }
 
     /// Fraction of node triples `(i, j, k)` for which the direct path
@@ -196,6 +251,32 @@ mod tests {
         let m = grid3();
         let row = m.row(1);
         assert_eq!(row, vec![(0, 10.0), (2, 10.0)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The histogram median is the element the old clone-and-select
+        /// returned, bit for bit, on triangles full of repeated values.
+        #[test]
+        fn median_matches_clone_and_select(
+            n in 2usize..40,
+            palette in proptest::collection::vec(0.01f64..500.0, 1..6),
+            picks in proptest::collection::vec(0usize..1000, 800),
+        ) {
+            let mut k = 0;
+            // Repeats of a few values, and near-repeats that share a
+            // histogram bucket.
+            let m = RttMatrix::from_fn(n, |_, _| {
+                k += 1;
+                let pick = picks[k % picks.len()];
+                palette[pick % palette.len()] * (1.0 + (pick % 7) as f64 * 1e-3)
+            });
+            let mut v = m.upper.clone();
+            let mid = v.len() / 2;
+            let want = *v.select_nth_unstable_by(mid, f64::total_cmp).1;
+            proptest::prop_assert_eq!(m.median().to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 pub mod config;
 pub mod hierarchy;
+mod lanes;
 pub mod node;
 pub mod simplex;
 

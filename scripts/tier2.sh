@@ -15,11 +15,12 @@ cargo test -q
 # `cargo test` above covers only the `ices` facade package.
 cargo test --workspace -q
 
-# The NPS goldens, the pipeline goldens and the simulation determinism
-# suites again, built with optimisation: the packed objective kernels
-# only exist in optimised code, which the debug `cargo test` runs above
-# never reach.
+# The NPS goldens, the pipeline goldens, the NPS driver's unit tests
+# and the simulation determinism suites again, built with
+# optimisation: the packed lane kernel only exists in optimised code,
+# which the debug `cargo test` runs above never reach.
 cargo test --release -q -p ices-nps
+cargo test --release -q -p ices-sim --lib nps_driver
 cargo test --release -q -p ices-sim --test golden_pipeline --test determinism \
   --test chaos_determinism --test adversary_determinism --test obs_invariance
 # The batched probe passes, the split vet sweep and the pass-built King
