@@ -142,3 +142,104 @@ fn gnp_8d_objective_bits_are_stable() {
         false,
     );
 }
+
+// Above 16 dimensions a lane keeps its centroid sums in its own buffer
+// rather than a local array, so these two pin that path. Their expected
+// values (and evaluation counts) were captured from the one-run loop
+// that preceded the lane machine.
+
+#[test]
+fn gnp_20d_objective_bits_are_stable() {
+    let truth: Vec<f64> = (0..20).map(|i| 5.0 * i as f64 - 40.0).collect();
+    let anchors: Vec<Vec<f64>> = (0..26usize)
+        .map(|k| {
+            (0..20)
+                .map(|d| {
+                    if (k + d) % 4 == 0 {
+                        90.0
+                    } else {
+                        -25.0 * (d as f64 + 1.0) / (k as f64 + 2.0)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let rtts: Vec<f64> = anchors.iter().map(|a| dist(a, &truth)).collect();
+    let objective = |x: &[f64]| -> f64 {
+        anchors
+            .iter()
+            .zip(&rtts)
+            .map(|(a, &rtt)| {
+                let est = dist(a, x);
+                ((est - rtt) / rtt).powi(2)
+            })
+            .sum()
+    };
+    let r = solve(objective, &[0.0; 20], 20.0, 600, 1e-8);
+    assert_bits(
+        &r,
+        &[
+            13853072299663729984,
+            13853898769975434284,
+            13850504306288751539,
+            13854855373779563146,
+            13851670792288399846,
+            4617420803700407977,
+            13849397859731041220,
+            4627699324780115896,
+            13850039708713168560,
+            13839683490230113688,
+            4621307550332864367,
+            4626612035345925210,
+            4627831174870056550,
+            4624586201178615366,
+            4631328115014252360,
+            4626443172939582350,
+            4631700025801519002,
+            4631053474089072500,
+            4629750157387006522,
+            4631674994104465601,
+        ],
+        4561693547330831650,
+        600,
+        false,
+    );
+    assert_eq!(r.1.evaluations, 795, "evaluation count drifted");
+}
+
+#[test]
+fn weighted_bowl_17d_bits_are_stable() {
+    let bowl = |x: &[f64]| -> f64 {
+        x.iter()
+            .enumerate()
+            .map(|(i, v)| (i as f64 + 1.0) * (v - i as f64 / 3.0) * (v - i as f64 / 3.0))
+            .sum()
+    };
+    let r = solve(bowl, &[0.0; 17], 1.0, 20000, 1e-10);
+    assert_bits(
+        &r,
+        &[
+            13683312714741363131,
+            4599676419421152091,
+            4604180019048522342,
+            4607182418799113943,
+            4608683618675480824,
+            4610184818551985645,
+            4611686018427244026,
+            4612436618365252582,
+            4613187218303139372,
+            4613937818241135756,
+            4614688418179099953,
+            4615439018116834192,
+            4616189618054606476,
+            4616564918023732826,
+            4616940217992706665,
+            4617315517961548470,
+            4617690817930580731,
+        ],
+        4330568959484289866,
+        6082,
+        true,
+    );
+    assert_eq!(r.1.evaluations, 7889, "evaluation count drifted");
+}

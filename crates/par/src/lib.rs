@@ -36,9 +36,9 @@ mod pool;
 use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
 
-/// One `par_map_mut` partition slot: (chunk base index, the partition's
-/// exclusive sub-slice, its result vector).
-type MutTask<'a, T, R> = Mutex<(usize, Option<&'a mut [T]>, Vec<R>)>;
+/// One `par_chunks_mut` partition slot: (chunk base index, the
+/// partition's exclusive sub-slice, its result).
+type MutTask<'a, T, R> = Mutex<(usize, Option<&'a mut [T]>, Option<R>)>;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -175,37 +175,59 @@ where
 {
     let threads = max_threads().min(items.len().max(1));
     if threads <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
+        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    let len = items.len();
-    let (chunk_len, _) = partition_plan(len, threads);
+    par_chunks_mut(items, |base, chunk| {
+        chunk
+            .iter_mut()
+            .enumerate()
+            .map(|(offset, item)| f(base + offset, item))
+            .collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Run `f` once per worker on that worker's contiguous chunk of `items`,
+/// returning the per-chunk results **in chunk order**.
+///
+/// The chunks are the static partitions every entry point uses (one per
+/// resolved worker, a pure function of `(len, threads)`); with one worker
+/// `f` runs once, on the whole slice. `f` receives `(index of the chunk's
+/// first item, &mut chunk)` — for work that wants a batch per worker
+/// rather than a call per item.
+pub fn par_chunks_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    let threads = max_threads().min(items.len().max(1));
+    if threads <= 1 {
+        return vec![f(0, items)];
+    }
+
+    let (chunk_len, _) = partition_plan(items.len(), threads);
     // Each partition's exclusive chunk travels through a Mutex'd Option
     // so the (shared, Sync) dispatch closure can hand it to exactly one
-    // worker; results come back through the same slot.
+    // worker; the result comes back through the same slot.
     let tasks: Vec<MutTask<'_, T, R>> = items
         .chunks_mut(chunk_len)
         .enumerate()
-        .map(|(w, chunk)| Mutex::new((w * chunk_len, Some(chunk), Vec::new())))
+        .map(|(w, chunk)| Mutex::new((w * chunk_len, Some(chunk), None)))
         .collect();
     pool::broadcast(tasks.len(), &|w| {
         let mut slot = lock_recovering(&tasks[w]);
         let (base, chunk, out) = &mut *slot;
         if let Some(chunk) = chunk.take() {
-            *out = chunk
-                .iter_mut()
-                .enumerate()
-                .map(|(offset, item)| f(*base + offset, item))
-                .collect();
+            *out = Some(f(*base, chunk));
         }
     });
     tasks
         .into_iter()
-        .flat_map(|t| t.into_inner().unwrap_or_else(PoisonError::into_inner).2)
+        .filter_map(|t| t.into_inner().unwrap_or_else(PoisonError::into_inner).2)
         .collect()
 }
 
@@ -294,6 +316,23 @@ mod tests {
         });
         assert_eq!(out, (0..300).collect::<Vec<u64>>());
         assert!(items.iter().enumerate().all(|(i, &x)| x == i as u64 * 2));
+    }
+
+    #[test]
+    fn par_chunks_mut_hands_each_worker_its_partition() {
+        let mut items: Vec<usize> = (0..10).collect();
+        let chunks = with_threads(3, || {
+            par_chunks_mut(&mut items, |base, chunk| {
+                for x in chunk.iter_mut() {
+                    *x += 100;
+                }
+                (base, chunk.len())
+            })
+        });
+        assert_eq!(chunks, vec![(0, 4), (4, 4), (8, 2)]);
+        assert!(items.iter().enumerate().all(|(i, &x)| x == i + 100));
+        let whole = with_threads(1, || par_chunks_mut(&mut items, |base, c| (base, c.len())));
+        assert_eq!(whole, vec![(0, 10)]);
     }
 
     #[test]
