@@ -40,12 +40,14 @@ fn bench_embedding(c: &mut Criterion) {
             w0: 0.5,
             p0: 0.05,
         };
-        let mut node = SecureNode::new(
+        let Ok(mut node) = SecureNode::new(
             VivaldiNode::new(0, VivaldiConfig::paper_default(), 1),
             params,
             0,
             SecurityConfig::paper_default(),
-        );
+        ) else {
+            panic!("the paper's security config is valid");
+        };
         let mut i = 0usize;
         b.iter(|| {
             i += 1;

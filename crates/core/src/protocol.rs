@@ -89,17 +89,6 @@ impl SecurityConfig {
         }
         Ok(())
     }
-
-    /// [`SecurityConfig::validate`] for contexts that cannot propagate
-    /// the error (constructors, examples).
-    ///
-    /// # Panics
-    /// Panics with the [`ConfigError`] message on an invalid config.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// The vetted outcome of one embedding step.
@@ -178,14 +167,17 @@ pub struct SecureNode<E> {
 impl<E: Embedding> SecureNode<E> {
     /// Wrap an embedding node with a detector calibrated from
     /// `params` (obtained from Surveyor `filter_source`).
+    ///
+    /// # Errors
+    /// Returns the [`ConfigError`] of an invalid `config`.
     pub fn new(
         inner: E,
         params: StateSpaceParams,
         filter_source: usize,
         config: SecurityConfig,
-    ) -> Self {
-        config.validate_or_panic();
-        Self {
+    ) -> Result<Self, ConfigError> {
+        config.validate()?;
+        Ok(Self {
             inner,
             detector: Detector::new(params, config.alpha),
             config,
@@ -194,7 +186,7 @@ impl<E: Embedding> SecureNode<E> {
             accepted: 0,
             reprieved: 0,
             rejected: 0,
-        }
+        })
     }
 
     /// The wrapped embedding node.
@@ -584,6 +576,7 @@ mod tests {
             0,
             SecurityConfig::paper_default(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -667,7 +660,7 @@ mod tests {
     fn reprieve_can_be_disabled() {
         let mut config = SecurityConfig::paper_default();
         config.reprieve_enabled = false;
-        let mut node = SecureNode::new(StubEmbedding::new(0.01), params(), 0, config);
+        let mut node = SecureNode::new(StubEmbedding::new(0.01), params(), 0, config).unwrap();
         let outlook = node.detector().prediction();
         let secondary_t = node.detector().threshold_at(0.01 * 0.05);
         let d = outlook.predicted + (outlook.threshold + secondary_t) / 2.0;
@@ -725,16 +718,12 @@ mod tests {
         );
         let msg = config.validate().unwrap_err().to_string();
         assert!(msg.contains("refresh_fraction"), "message: {msg}");
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0,1)")]
-    fn validate_or_panic_still_panics() {
-        SecurityConfig {
-            alpha: 0.0,
-            ..SecurityConfig::paper_default()
-        }
-        .validate_or_panic();
+        let node = SecureNode::new(StubEmbedding::new(0.1), params(), 0, config);
+        assert_eq!(
+            node.err(),
+            Some(ConfigError::InvalidRefreshFraction(0.0)),
+            "an invalid config must not build a node"
+        );
     }
 
     #[test]

@@ -56,6 +56,21 @@ impl SurveyorRegistry {
         }
     }
 
+    /// Rewrite every registered Surveyor's entry in place, in
+    /// registration order: `rewrite(i, info)` gets the `i`-th entry and
+    /// must keep its id.
+    ///
+    /// # Panics
+    /// Panics if a rewritten entry's parameters are invalid.
+    pub fn update_each(&mut self, mut rewrite: impl FnMut(usize, &mut SurveyorInfo)) {
+        for (i, info) in self.surveyors.iter_mut().enumerate() {
+            let id = info.id;
+            rewrite(i, info);
+            debug_assert_eq!(info.id, id, "a rewrite must keep the Surveyor's id");
+            info.params.validate();
+        }
+    }
+
     /// Number of registered Surveyors.
     pub fn len(&self) -> usize {
         self.surveyors.len()

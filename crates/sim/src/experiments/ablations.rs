@@ -14,10 +14,9 @@
 //!   before a network-condition change) degrade detection, and does the
 //!   refresh rule recover it?
 
-use super::Scale;
+use super::{isolation_attack, Scale};
 use crate::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
 use crate::vivaldi_driver::VivaldiSimulation;
-use ices_attack::VivaldiIsolationAttack;
 use ices_core::{calibrate, EmConfig, StateSpaceParams};
 use ices_stats::Confusion;
 use serde::{Deserialize, Serialize};
@@ -69,14 +68,7 @@ fn run_with_params(
         sim.set_reprieve_enabled(false);
     }
     sim.arm_detection();
-    let target = sim.normal_nodes()[0]; // audit:allow(PANIC02): every scenario places normal nodes
-    let radius = sim.network().median_base_rtt() / 2.0;
-    let attack = VivaldiIsolationAttack::new(
-        sim.malicious().iter().copied(),
-        sim.coordinate(target).clone(),
-        radius.max(20.0),
-        scale.seed ^ 0xAB1,
-    );
+    let attack = isolation_attack(&sim, scale.seed ^ 0xAB1);
     sim.run(scale.measure_passes, &attack, false);
     sim.report().confusion
 }
@@ -148,14 +140,7 @@ pub fn ablate_filter_source(scale: &Scale) -> AblationResult {
     sim.calibrate_surveyors(&EmConfig::default());
     sim.shuffle_registry_params();
     sim.arm_detection();
-    let target = sim.normal_nodes()[0]; // audit:allow(PANIC02): every scenario places normal nodes
-    let radius = sim.network().median_base_rtt() / 2.0;
-    let attack = VivaldiIsolationAttack::new(
-        sim.malicious().iter().copied(),
-        sim.coordinate(target).clone(),
-        radius.max(20.0),
-        scale.seed ^ 0xAB1,
-    );
+    let attack = isolation_attack(&sim, scale.seed ^ 0xAB1);
     sim.run(scale.measure_passes, &attack, false);
     let random = sim.report().confusion;
 

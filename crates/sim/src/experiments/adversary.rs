@@ -74,7 +74,11 @@ pub enum AttackKind {
 
 impl AttackKind {
     /// All swept kinds, in sweep order.
-    pub const ALL: [AttackKind; 3] = [AttackKind::Sybil, AttackKind::Eclipse, AttackKind::SlowDrift];
+    pub const ALL: [AttackKind; 3] = [
+        AttackKind::Sybil,
+        AttackKind::Eclipse,
+        AttackKind::SlowDrift,
+    ];
 
     /// The default intensity axis for this attack.
     pub fn default_intensities(self) -> &'static [f64] {
@@ -110,9 +114,13 @@ impl Deserialize for AttackKind {
                 "sybil" => Ok(AttackKind::Sybil),
                 "eclipse" => Ok(AttackKind::Eclipse),
                 "slow_drift" => Ok(AttackKind::SlowDrift),
-                other => Err(serde::DeError::new(format!("unknown attack kind `{other}`"))),
+                other => Err(serde::DeError::new(format!(
+                    "unknown attack kind `{other}`"
+                ))),
             },
-            other => Err(serde::DeError::new(format!("expected attack tag, got {other:?}"))),
+            other => Err(serde::DeError::new(format!(
+                "expected attack tag, got {other:?}"
+            ))),
         }
     }
 }
@@ -169,7 +177,12 @@ pub struct AdversarySweep {
 
 impl AdversarySweep {
     /// The cell at an exact operating point.
-    pub fn cell(&self, attack: AttackKind, intensity: f64, defense: bool) -> Option<&AdversaryCell> {
+    pub fn cell(
+        &self,
+        attack: AttackKind,
+        intensity: f64,
+        defense: bool,
+    ) -> Option<&AdversaryCell> {
         self.cells.iter().find(|c| {
             c.attack == attack && (c.intensity - intensity).abs() < 1e-9 && c.defense == defense
         })
@@ -352,7 +365,10 @@ fn drift_cell(
     defense: bool,
     journaled: bool,
 ) -> (AdversaryCell, Option<Vec<u8>>) {
-    assert!(intensity > 0.0, "drift rate must be positive, got {intensity}");
+    assert!(
+        intensity > 0.0,
+        "drift rate must be positive, got {intensity}"
+    );
     let mut sim = new_sim(scale, BASE_MALICIOUS_FRACTION, journaled);
     sim.run_clean(scale.clean_passes);
     sim.calibrate_surveyors(&EmConfig::default());
@@ -401,7 +417,9 @@ pub fn honest_baseline_accuracy(scale: &Scale) -> Option<f64> {
     sim.calibrate_surveyors(&EmConfig::default());
     sim.arm_detection();
     sim.run(scale.measure_passes, &ices_attack::HonestWorld, false);
-    sim.accuracy_report(scale.pairs_per_node).ecdf().map(|e| e.median())
+    sim.accuracy_report(scale.pairs_per_node)
+        .ecdf()
+        .map(|e| e.median())
 }
 
 /// The full sweep: every attack kind × its intensity axis × defense
@@ -420,10 +438,7 @@ pub fn adversary_sweep(scale: &Scale) -> AdversarySweep {
 
 /// [`adversary_sweep`] over an explicit cell list (smoke runs shrink
 /// the matrix; the harness uses the default one).
-pub fn adversary_sweep_over(
-    scale: &Scale,
-    points: &[(AttackKind, f64, bool)],
-) -> AdversarySweep {
+pub fn adversary_sweep_over(scale: &Scale, points: &[(AttackKind, f64, bool)]) -> AdversarySweep {
     let honest = honest_baseline_accuracy(scale);
     let mut cells = ices_par::par_map(points, |_, &(kind, intensity, defense)| {
         adversary_cell(scale, kind, intensity, defense)
@@ -466,7 +481,10 @@ mod tests {
             "sub-threshold drift should evade the innovation test, tpr {}",
             cell.tpr()
         );
-        assert!(cell.fpr() < 0.15, "evasion must not come from a broken detector");
+        assert!(
+            cell.fpr() < 0.15,
+            "evasion must not come from a broken detector"
+        );
     }
 
     #[test]
@@ -514,7 +532,9 @@ mod tests {
         ];
         let sweep = adversary_sweep_over(&Scale::test(), &points);
         assert_eq!(sweep.cells.len(), 6);
-        let honest = sweep.honest_accuracy_median.expect("baseline samples pairs");
+        let honest = sweep
+            .honest_accuracy_median
+            .expect("baseline samples pairs");
         assert!(honest > 0.0);
         for cell in &sweep.cells {
             assert!(
@@ -536,8 +556,7 @@ mod tests {
     fn journaled_cell_matches_plain_cell() {
         let scale = Scale::test();
         let plain = adversary_cell(&scale, AttackKind::SlowDrift, 0.5, true);
-        let (journaled, bytes) =
-            adversary_cell_journaled(&scale, AttackKind::SlowDrift, 0.5, true);
+        let (journaled, bytes) = adversary_cell_journaled(&scale, AttackKind::SlowDrift, 0.5, true);
         assert_eq!(plain, journaled, "journaling must not perturb the run");
         let text = String::from_utf8(bytes).expect("utf8 journal");
         let (run, errors) = ices_obs::report::parse(&text);

@@ -13,11 +13,10 @@
 //! the key robustness claim — that the detector's false-positive rate
 //! stays bounded instead of blowing up when samples go missing.
 
-use super::Scale;
+use super::{isolation_attack, Scale};
 use crate::metrics::FaultReport;
 use crate::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
 use crate::vivaldi_driver::VivaldiSimulation;
-use ices_attack::VivaldiIsolationAttack;
 use ices_core::EmConfig;
 use ices_netsim::{ChurnModel, FaultPlan};
 use ices_obs::Journal;
@@ -166,14 +165,7 @@ fn finish_cell(
     churn: f64,
     pairs_per_node: usize,
 ) -> (ChaosCell, Option<Vec<u8>>) {
-    let target = sim.normal_nodes()[0]; // audit:allow(PANIC02): every scenario places normal nodes
-    let radius = sim.network().median_base_rtt() / 2.0;
-    let attack = VivaldiIsolationAttack::new(
-        sim.malicious().iter().copied(),
-        sim.coordinate(target).clone(),
-        radius.max(20.0),
-        scale.seed ^ 0xC4A05,
-    );
+    let attack = isolation_attack(&sim, scale.seed ^ 0xC4A05);
     sim.run(scale.measure_passes, &attack, false);
     let accuracy = sim.accuracy_report(pairs_per_node);
     let report = sim.report();

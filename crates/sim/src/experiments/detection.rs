@@ -7,11 +7,10 @@
 //! the accumulated confusion counts, and ROC curves are assembled per
 //! malicious fraction across the α values.
 
-use super::Scale;
+use super::{collusion_attack, isolation_attack, Scale};
 use crate::nps_driver::NpsSimulation;
 use crate::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
 use crate::vivaldi_driver::VivaldiSimulation;
-use ices_attack::{NpsCollusionAttack, VivaldiIsolationAttack};
 use ices_core::EmConfig;
 use ices_stats::{Confusion, RocCurve};
 use serde::{Deserialize, Serialize};
@@ -103,14 +102,7 @@ pub fn vivaldi_cell(scale: &Scale, fraction: f64, alpha: f64) -> SweepCell {
     sim.arm_detection();
     // The colluders agree on an exclusion zone around a target normal
     // node, sized relative to the network's scale.
-    let target = sim.normal_nodes()[0]; // audit:allow(PANIC02): every scenario places normal nodes
-    let radius = sim.network().median_base_rtt() / 2.0;
-    let attack = VivaldiIsolationAttack::new(
-        sim.malicious().iter().copied(),
-        sim.coordinate(target).clone(),
-        radius.max(20.0),
-        scale.seed ^ 0xA77AC4,
-    );
+    let attack = isolation_attack(&sim, scale.seed ^ 0xA77AC4);
     sim.run(scale.measure_passes, &attack, false);
     let report = sim.report();
     SweepCell {
@@ -165,14 +157,7 @@ pub fn nps_cell_with_drag(scale: &Scale, fraction: f64, alpha: f64, drag: f64) -
     sim.run_clean(scale.nps_clean_rounds);
     sim.calibrate_surveyors(&EmConfig::default());
     sim.arm_detection();
-    let mut attack = NpsCollusionAttack::new(
-        sim.malicious().iter().copied(),
-        8,
-        drag,
-        0.5,
-        scale.seed ^ 0x4E5053,
-    );
-    attack.observe_hierarchy(&sim.serving_map(), &sim.layer_members());
+    let attack = collusion_attack(&sim, drag, scale.seed ^ 0x4E5053);
     sim.run(scale.nps_measure_rounds, &attack, false);
     let report = sim.report();
     SweepCell {

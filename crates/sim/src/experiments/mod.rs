@@ -15,7 +15,31 @@ pub mod representativeness;
 pub mod system_perf;
 pub mod validation;
 
+use crate::{NpsSimulation, VivaldiSimulation};
+use ices_attack::{NpsCollusionAttack, VivaldiIsolationAttack};
 use serde::{Deserialize, Serialize};
+
+/// The paper's Vivaldi adversary: the colluders push every node out of
+/// an exclusion zone around the first normal node, half the median base
+/// RTT wide (at least 20 ms).
+pub(crate) fn isolation_attack(sim: &VivaldiSimulation, seed: u64) -> VivaldiIsolationAttack {
+    let target = sim.normal_nodes()[0]; // audit:allow(PANIC02): every scenario places normal nodes
+    let radius = sim.network().median_base_rtt() / 2.0;
+    VivaldiIsolationAttack::new(
+        sim.malicious().iter().copied(),
+        sim.coordinate(target).clone(),
+        radius.max(20.0),
+        seed,
+    )
+}
+
+/// The paper's NPS adversary: colluding reference points drag the 8-d
+/// coordinates of their dependents by `drag` RTTs per sample.
+pub(crate) fn collusion_attack(sim: &NpsSimulation, drag: f64, seed: u64) -> NpsCollusionAttack {
+    let mut attack = NpsCollusionAttack::new(sim.malicious().iter().copied(), 8, drag, 0.5, seed);
+    attack.observe_hierarchy(&sim.serving_map(), &sim.layer_members());
+    attack
+}
 
 /// Experiment sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

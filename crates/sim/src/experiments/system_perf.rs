@@ -4,11 +4,11 @@
 //! detection protocol, plus the §6 "dedicated Surveyors for embedding"
 //! variant.
 
-use super::{Curve, Scale};
+use super::{collusion_attack, isolation_attack, Curve, Scale};
 use crate::nps_driver::NpsSimulation;
 use crate::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
 use crate::vivaldi_driver::VivaldiSimulation;
-use ices_attack::{HonestWorld, NpsCollusionAttack, VivaldiIsolationAttack};
+use ices_attack::HonestWorld;
 use ices_core::EmConfig;
 use serde::{Deserialize, Serialize};
 
@@ -59,14 +59,7 @@ fn vivaldi_errors(scale: &Scale, fraction: f64, detection: bool, dedicated: bool
             sim.calibrate_surveyors(&EmConfig::default());
             sim.arm_detection();
         }
-        let target = sim.normal_nodes()[0]; // audit:allow(PANIC02): every scenario places normal nodes
-        let radius = sim.network().median_base_rtt() / 2.0;
-        let attack = VivaldiIsolationAttack::new(
-            sim.malicious().iter().copied(),
-            sim.coordinate(target).clone(),
-            radius.max(20.0),
-            scale.seed ^ 0xA77AC4,
-        );
+        let attack = isolation_attack(&sim, scale.seed ^ 0xA77AC4);
         sim.run(scale.measure_passes, &attack, false);
     } else {
         let honest = HonestWorld;
@@ -119,14 +112,7 @@ fn nps_errors(scale: &Scale, fraction: f64, detection: bool, dedicated: bool) ->
             sim.calibrate_surveyors(&EmConfig::default());
             sim.arm_detection();
         }
-        let mut attack = NpsCollusionAttack::new(
-            sim.malicious().iter().copied(),
-            8,
-            3.0,
-            0.5,
-            scale.seed ^ 0x4E5053,
-        );
-        attack.observe_hierarchy(&sim.serving_map(), &sim.layer_members());
+        let attack = collusion_attack(&sim, 3.0, scale.seed ^ 0x4E5053);
         sim.run(scale.nps_measure_rounds, &attack, false);
     } else {
         let honest = HonestWorld;

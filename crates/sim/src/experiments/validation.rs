@@ -112,7 +112,7 @@ fn traces_and_params(
             let mut sim = NpsSimulation::new(clean_scenario(scale, topo));
             sim.run_clean(scale.nps_clean_rounds);
             let params: Vec<_> = sim
-                .calibrate_all_traces(&em)
+                .calibrate_all(&em)
                 .into_iter()
                 .map(|o| o.params)
                 .collect();

@@ -6,8 +6,17 @@
 //! protocol (`ices-core`), unleashes an adversary (`ices-attack`), and
 //! collects the metrics every table and figure of the paper reports.
 //!
-//! The drivers are deliberately phase-structured, mirroring the paper's
-//! method:
+//! Both simulations are one generic type, [`SecuredSim`] (module
+//! [`secured`]), as the paper's claim that one detector secures any
+//! embedding system suggests: [`VivaldiSimulation`] is
+//! `SecuredSim<Vivaldi>` ([`vivaldi_driver`]) and [`NpsSimulation`] is
+//! `SecuredSim<Nps>` ([`nps_driver`]). The shared core holds the
+//! population, the Surveyors, the traces, arming, the round-boundary
+//! filter refresh, the fault bookkeeping and the metrics; a backend adds
+//! its peer sets and its probe schedule.
+//!
+//! The simulations are deliberately phase-structured, mirroring the
+//! paper's method:
 //!
 //! 1. **Clean embedding** — the system converges without malicious nodes;
 //!    every node's measured-relative-error trace is recorded.
@@ -33,6 +42,7 @@ pub mod nps_driver;
 pub mod obs;
 pub mod replay;
 pub mod scenario;
+pub mod secured;
 pub mod snapshot;
 pub mod trace;
 pub mod vivaldi_driver;
@@ -42,4 +52,5 @@ pub use nps_driver::NpsSimulation;
 pub use obs::SimObs;
 pub use replay::{prediction_errors, replay_filter};
 pub use scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
+pub use secured::SecuredSim;
 pub use vivaldi_driver::VivaldiSimulation;

@@ -4,7 +4,9 @@
 //! landmarks, per-round downhill-simplex positioning against reference
 //! points, NPS's built-in sensitivity-4 filter, Surveyors (all landmarks
 //! plus promoted reference points) embedding against trusted nodes only,
-//! and the colluding reference-point adversary.
+//! and the colluding reference-point adversary. The secured population
+//! itself is [`SecuredSim`]; this backend adds the hierarchy, the
+//! reference-point sets and the round.
 //!
 //! ## The two-phase round loop
 //!
@@ -24,72 +26,52 @@
 //! (traces, confusion counts, RP replacements) merge in node order, so
 //! the round is bit-for-bit reproducible at any worker count.
 
-use crate::metrics::{AccuracyReport, DetectionReport};
-use crate::obs::SimObs;
-use crate::scenario::{ScenarioConfig, TopologyKind};
-use crate::snapshot::CoordSnapshot;
-use crate::trace::TraceRing;
-use ices_obs::Journal;
-use ices_attack::Adversary;
-use ices_coord::{Coordinate, Embedding, PeerSample};
-use ices_core::{
-    calibrate, vet_sequences, DetectorBank, EmConfig, SecureNode, SecureStep, SecurityConfig,
-    StateSpaceParams, SurveyorInfo, SurveyorRegistry, VetEvent,
+use crate::scenario::ScenarioConfig;
+use crate::secured::{
+    end_round, first_attempt, intake, secured_mut, Backend, Participant, ProbeFate, RoundEnd,
+    SecuredSim, Tally,
 };
-use ices_netsim::{FaultPlan, Network, ProbeKey, ProbeOutcome};
+use ices_attack::Adversary;
+use ices_coord::Embedding;
+use ices_core::{vet_sequences, SecureStep, VetEvent};
+use ices_netsim::ProbeKey;
 use ices_nps::{Hierarchy, NpsConfig, NpsNode, Role};
 use ices_stats::rng::{derive, derive2, SimRng};
 use ices_stats::sample::sample_indices;
+use ices_stats::streams;
 use rand::RngExt;
 use std::collections::{BTreeMap, BTreeSet};
-use ices_stats::streams;
 
-/// How many random Surveyors a joining node probes before adopting the
-/// closest one's filter.
-const JOIN_PROBE_CANDIDATES: usize = 8;
+/// The NPS system simulation.
+pub type NpsSimulation = SecuredSim<Nps>;
 
-/// Cap on per-node trace length.
-const TRACE_CAP: usize = 8192;
-
-/// Recent clean samples used to prime a freshly adopted filter.
-const PRIME_SAMPLES: usize = 64;
-
-/// Extra probe attempts after a lost/timed-out probe within one round
-/// (bounded deterministic backoff, as in the Vivaldi driver).
-const PROBE_RETRIES: u32 = 2;
-
-/// Consecutive failed rounds toward one reference point before the node
-/// gives up and evicts it as dead.
-pub const DEAD_RP_EVICT_FAILURES: u32 = 3;
-
-#[allow(clippy::large_enum_variant)] // Plain is the common case; boxing it would cost an alloc per node
-enum Participant {
-    Plain(NpsNode),
-    Secured(Box<SecureNode<NpsNode>>),
+/// The NPS backend of [`SecuredSim`]: the positioning hierarchy and
+/// every node's reference-point set.
+pub struct Nps {
+    config: NpsConfig,
+    hierarchy: Hierarchy,
+    /// Effective per-node reference-point sets (Surveyors' sets are
+    /// restricted to trusted nodes).
+    reference_points: Vec<Vec<usize>>,
+    /// The probe key of each reference point, slot for slot beside
+    /// `reference_points`. Kept in step by
+    /// [`NpsSimulation::set_reference_point`], the only RP writer after
+    /// construction.
+    rp_keys: Vec<Vec<ProbeKey>>,
 }
 
-impl Participant {
-    fn coordinate(&self) -> &Coordinate {
-        match self {
-            Participant::Plain(n) => n.coordinate(),
-            Participant::Secured(s) => s.inner().coordinate(),
-        }
+impl Backend for Nps {
+    type Node = NpsNode;
+    const JOIN_STREAM: u64 = streams::NPSJ;
+    const JOURNAL_NAME: &'static str = "nps";
+
+    fn placeholder(&self, node: usize) -> NpsNode {
+        NpsNode::new(node, self.config, 0)
     }
 
-    fn local_error(&self) -> f64 {
-        match self {
-            Participant::Plain(n) => n.local_error(),
-            Participant::Secured(s) => s.inner().local_error(),
-        }
+    fn reset(node: &mut NpsNode) {
+        node.reset();
     }
-}
-
-/// Why a probe produced no measurement (terminal, after retries).
-#[derive(Clone, Copy)]
-enum ProbeFate {
-    Lost,
-    TimedOut,
-    PeerDown,
 }
 
 /// What one node's positioning round asks the driver to apply globally.
@@ -102,80 +84,21 @@ struct RoundEffect {
     /// `(label_malicious, flagged)` pairs for the confusion matrix, in
     /// probe order.
     vetted: Vec<(bool, bool)>,
-    /// Steps that hit the first-time-peer reprieve.
-    reprieves: u64,
     /// Reference points the detection test rejected; replace each.
     rejected_rps: Vec<usize>,
-    /// The node refreshed its filter at the round boundary.
-    refreshed_filter: bool,
-    /// The node was crashed for this round (churn) and did nothing.
-    self_down: bool,
-    /// Probes that completed only after at least one retry.
-    retried_probes: u64,
+    /// How a secured node's round boundary ended.
+    round_end: RoundEnd,
     /// Reference points whose probe completed: clear failure counts.
     ok_rps: Vec<usize>,
     /// Reference points whose probe failed after all retries.
     failed_rps: Vec<(usize, ProbeFate)>,
-    /// Missing samples a secured node absorbed as detector coasts.
-    coasted_steps: u64,
-    /// The node wanted a filter refresh but every Surveyor was down;
-    /// it kept its stale calibration.
-    stale_fallback: bool,
-    /// Tampered samples the adversary injected (ground truth).
-    lied_steps: u64,
-    /// Tampered samples whose deflated RTT the intake clamp raised.
-    clamped_rtts: u64,
+    /// Fault and adversary counts.
+    tally: Tally,
     /// Detector events a secured node deferred to the merge-phase
     /// batched sweep, in probe order: `(event, label_malicious)`, with
     /// `VetEvent::Missing` (label unused) holding a coast's position so
     /// the per-node op order matches the scalar interleaving exactly.
     pending: Vec<(VetEvent, bool)>,
-}
-
-/// The NPS system simulation.
-pub struct NpsSimulation {
-    config: ScenarioConfig,
-    nps: NpsConfig,
-    security: SecurityConfig,
-    network: Network,
-    hierarchy: Hierarchy,
-    /// Effective per-node reference-point sets (Surveyors' sets are
-    /// restricted to trusted nodes).
-    reference_points: Vec<Vec<usize>>,
-    /// The probe key of each reference point, slot for slot beside
-    /// `reference_points`. Kept in step by
-    /// [`NpsSimulation::set_reference_point`], the only RP writer after
-    /// construction.
-    rp_keys: Vec<Vec<ProbeKey>>,
-    surveyors: BTreeSet<usize>,
-    malicious: BTreeSet<usize>,
-    participants: Vec<Participant>,
-    registry: SurveyorRegistry,
-    traces: Vec<TraceRing>,
-    /// Count of completed positioning rounds; probe nonces are derived
-    /// from `(round, node, probe index)`, independent of execution order.
-    round: u64,
-    /// Metrics registry + optional run journal; the single source of
-    /// truth the [`DetectionReport`] is derived from.
-    obs: SimObs,
-    rng: SimRng,
-    /// Reusable SoA snapshot buffer for each layer round's phase 1 —
-    /// flat arrays refilled in place, no steady-state allocation.
-    snapshot: CoordSnapshot,
-    /// Per-node liveness at the current round (fault mode only), filled
-    /// once per round in place of per-probe churn draws.
-    up: Vec<bool>,
-    /// Per-node consecutive probe-failure counts toward each reference
-    /// point (fault mode only; empty maps on a clean network).
-    probe_failures: Vec<BTreeMap<usize, u32>>,
-    /// Nodes whose [`NpsSimulation::arm_detection`] found no live
-    /// Surveyor candidate (total outage); retried each round.
-    pending_arms: BTreeSet<usize>,
-    /// Reusable SoA execution engine for the merge-phase detection
-    /// sweep. Transient per layer round: state is gathered from and
-    /// scattered back to each node's scalar [`ices_core::Detector`],
-    /// which stays the source of truth.
-    bank: DetectorBank,
 }
 
 /// The probe nonce for `node`'s `k`-th reference-point probe in `round`
@@ -216,14 +139,10 @@ impl NpsSimulation {
         config.validate();
         nps.validate();
         let seed = config.seed;
-        let network = match &config.topology {
-            TopologyKind::King(kc) => Network::from_king(kc.generate(seed), seed),
-            TopologyKind::StreamedKing(kc) => Network::from_king_streamed(kc.clone(), seed),
-            TopologyKind::PlanetLab(pc) => Network::from_planetlab(pc.generate(seed), seed),
-        };
+        let (network, _) = config.topology.network(seed);
         let n = network.len();
         let hierarchy = Hierarchy::build(n, &nps, seed);
-        let mut rng = SimRng::from_stream(seed, streams::NPSD,0); // "NPSD"
+        let mut rng = SimRng::from_stream(seed, streams::NPSD, 0); // "NPSD"
 
         // Surveyors: every landmark, plus promoted reference points until
         // the configured fraction is met.
@@ -280,52 +199,31 @@ impl NpsSimulation {
             malicious.insert(other_civilians[idx]);
         }
 
-        // Effective RP sets: Surveyors position against trusted nodes
-        // only — Surveyor reference points from the layer above, topped
-        // up with landmarks when short (landmarks are the root of trust).
+        // Effective RP sets: Surveyors — and in the §6 variant every
+        // normal node too (a GNP/NPS hybrid, trading accuracy for
+        // immunity) — position against trusted nodes only: Surveyors of
+        // the layer above, topped up with landmarks when short
+        // (landmarks are the root of trust and keep their own sets).
         let landmarks = hierarchy.landmarks();
         let mut reference_points = hierarchy.reference_points.clone();
-        for &s in &surveyors {
-            if hierarchy.role[s] == Role::Landmark {
-                continue; // already landmarks-only
+        for (node, rps) in reference_points.iter_mut().enumerate() {
+            let trusted_only = surveyors.contains(&node) || config.embed_against_surveyors_only;
+            if !trusted_only || hierarchy.role[node] == Role::Landmark {
+                continue;
             }
-            let layer = hierarchy.layer[s];
+            let layer = hierarchy.layer[node];
             let mut trusted: Vec<usize> = (0..n)
-                .filter(|&i| surveyors.contains(&i) && i != s && hierarchy.layer[i] == layer - 1)
+                .filter(|&i| surveyors.contains(&i) && i != node && hierarchy.layer[i] + 1 == layer)
                 .collect();
             if trusted.len() < nps.min_rps {
                 for &l in &landmarks {
-                    if l != s && !trusted.contains(&l) {
+                    if l != node && !trusted.contains(&l) {
                         trusted.push(l);
                     }
                 }
             }
             trusted.truncate(nps.rps_per_node);
-            reference_points[s] = trusted;
-        }
-
-        // §6 variant: normal nodes also position exclusively against
-        // Surveyors (a GNP/NPS hybrid, trading accuracy for immunity).
-        if config.embed_against_surveyors_only {
-            #[allow(clippy::needless_range_loop)] // node is an id, not just an index
-            for node in 0..n {
-                if surveyors.contains(&node) {
-                    continue;
-                }
-                let layer = hierarchy.layer[node];
-                let mut trusted: Vec<usize> = (0..n)
-                    .filter(|&i| surveyors.contains(&i) && hierarchy.layer[i] + 1 == layer)
-                    .collect();
-                if trusted.len() < nps.min_rps {
-                    for &l in &landmarks {
-                        if !trusted.contains(&l) {
-                            trusted.push(l);
-                        }
-                    }
-                }
-                trusted.truncate(nps.rps_per_node);
-                reference_points[node] = trusted;
-            }
+            *rps = trusted;
         }
 
         let rp_keys = reference_points
@@ -333,179 +231,44 @@ impl NpsSimulation {
             .enumerate()
             .map(|(node, rps)| rps.iter().map(|&rp| network.probe_key(node, rp)).collect())
             .collect();
-        let participants = (0..n)
-            .map(|id| Participant::Plain(NpsNode::new(id, nps, seed)))
-            .collect();
-
-        Self {
-            security: SecurityConfig {
-                alpha: config.alpha,
-                ..SecurityConfig::paper_default()
-            },
-            config,
-            nps,
-            network,
+        let nodes = (0..n).map(|id| NpsNode::new(id, nps, seed)).collect();
+        let backend = Nps {
+            config: nps,
             hierarchy,
             reference_points,
             rp_keys,
-            surveyors,
-            malicious,
-            participants,
-            registry: SurveyorRegistry::new(),
-            traces: vec![TraceRing::with_capacity(TRACE_CAP); n],
-            round: 0,
-            obs: SimObs::new(),
-            rng,
-            snapshot: CoordSnapshot::new(),
-            up: Vec::new(),
-            probe_failures: vec![BTreeMap::new(); n],
-            pending_arms: BTreeSet::new(),
-            bank: DetectorBank::new(),
-        }
-    }
-
-    /// Attach a fault plan to the underlying network. The default plan
-    /// is empty; see [`ices_netsim::FaultPlan`].
-    ///
-    /// # Panics
-    /// Panics if the plan is invalid.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.network.set_fault_plan(plan);
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.participants.len()
-    }
-
-    /// Always false.
-    pub fn is_empty(&self) -> bool {
-        self.participants.is_empty()
-    }
-
-    /// The simulated network.
-    pub fn network(&self) -> &Network {
-        &self.network
+        };
+        Self::assemble(config, network, surveyors, malicious, rng, nodes, backend)
     }
 
     /// The positioning hierarchy.
     pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-
-    /// Surveyor ids (landmarks plus promoted reference points).
-    pub fn surveyors(&self) -> &BTreeSet<usize> {
-        &self.surveyors
-    }
-
-    /// Malicious node ids.
-    pub fn malicious(&self) -> &BTreeSet<usize> {
-        &self.malicious
-    }
-
-    /// Honest non-Surveyor node ids.
-    pub fn normal_nodes(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|i| !self.surveyors.contains(i) && !self.malicious.contains(i))
-            .collect()
-    }
-
-    /// Per-node traces of measured relative errors. Each [`TraceRing`]
-    /// derefs to a contiguous `&[f64]`, oldest first.
-    pub fn traces(&self) -> &[TraceRing] {
-        &self.traces
-    }
-
-    /// Clear collected traces.
-    pub fn clear_traces(&mut self) {
-        for t in &mut self.traces {
-            t.clear();
-        }
-    }
-
-    /// The Surveyor registry.
-    pub fn registry(&self) -> &SurveyorRegistry {
-        &self.registry
+        &self.backend.hierarchy
     }
 
     /// A node's current effective reference-point set.
     pub fn reference_points_of(&self, node: usize) -> &[usize] {
-        &self.reference_points[node]
-    }
-
-    /// Diagnostic: the node's current filter estimate and α-threshold
-    /// (NaN for unsecured nodes).
-    pub fn detector_state(&self, node: usize) -> (f64, f64) {
-        match &self.participants[node] {
-            Participant::Secured(s) => {
-                let outlook = s.detector().prediction();
-                (outlook.predicted, outlook.threshold)
-            }
-            Participant::Plain(_) => (f64::NAN, f64::NAN),
-        }
-    }
-
-    /// Detection metrics accumulated so far, derived from the
-    /// observability registry (the counters are the primary record;
-    /// this assembles the serialized report shape from them).
-    pub fn report(&self) -> DetectionReport {
-        self.obs.detection_report()
-    }
-
-    /// Attach a run journal: every subsequent round emits a counter
-    /// delta line, and discrete events (evictions, rejections, filter
-    /// refreshes, deferred arms) are recorded as they happen. Journal
-    /// emission reads the same registry the report is derived from, so
-    /// simulation outputs are bit-identical with or without one.
-    pub fn enable_journal(&mut self, journal: Journal) {
-        let (nodes, seed) = (self.len(), self.config.seed);
-        self.obs.enable_journal(journal, "nps", nodes, seed);
-    }
-
-    /// Emit the journal's `summary` line and detach it, returning the
-    /// accumulated bytes for in-memory journals (`None` for file
-    /// journals, whose bytes are flushed to disk).
-    pub fn finish_journal(&mut self) -> Option<Vec<u8>> {
-        self.obs.finish_journal()
-    }
-
-    /// Whether `node` is currently wrapped in the detection protocol.
-    pub fn is_secured(&self, node: usize) -> bool {
-        matches!(self.participants[node], Participant::Secured(_))
-    }
-
-    /// Nodes whose detection arming is still deferred (Surveyor outage
-    /// at arm time and no live candidate since).
-    pub fn pending_arms(&self) -> &BTreeSet<usize> {
-        &self.pending_arms
-    }
-
-    /// A node's current coordinate.
-    pub fn coordinate(&self, node: usize) -> &Coordinate {
-        self.participants[node].coordinate()
+        &self.backend.reference_points[node]
     }
 
     /// The serving map the adversary observes: each landmark/reference
     /// point mapped to its own layer.
     pub fn serving_map(&self) -> BTreeMap<usize, usize> {
+        let hierarchy = &self.backend.hierarchy;
         (0..self.len())
-            .filter(|&i| {
-                matches!(
-                    self.hierarchy.role[i],
-                    Role::Landmark | Role::ReferencePoint
-                )
-            })
-            .map(|i| (i, self.hierarchy.layer[i]))
+            .filter(|&i| matches!(hierarchy.role[i], Role::Landmark | Role::ReferencePoint))
+            .map(|i| (i, hierarchy.layer[i]))
             .collect()
     }
 
     /// Layer membership of non-serving (normal) nodes, as the adversary
     /// observes it.
     pub fn layer_members(&self) -> BTreeMap<usize, Vec<usize>> {
+        let hierarchy = &self.backend.hierarchy;
         let mut m: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for i in 0..self.len() {
-            if self.hierarchy.role[i] == Role::Regular {
-                m.entry(self.hierarchy.layer[i]).or_default().push(i);
+            if hierarchy.role[i] == Role::Regular {
+                m.entry(hierarchy.layer[i]).or_default().push(i);
             }
         }
         m
@@ -531,133 +294,77 @@ impl NpsSimulation {
         adversary: &dyn Adversary,
         collect: bool,
     ) {
-        // SoA snapshot: flat buffers refilled in place — no per-node
-        // allocation to photograph the population.
-        {
-            let snapshot = &mut self.snapshot;
-            snapshot.fill(
-                self.participants
-                    .iter()
-                    .map(|p| (p.coordinate(), p.local_error())),
-            );
-        }
+        self.take_snapshot();
 
         let network = &self.network;
-        let reference_points = &self.reference_points;
-        let rp_keys = &self.rp_keys;
+        let reference_points = &self.backend.reference_points;
+        let rp_keys = &self.backend.rp_keys;
         let registry = &self.registry;
         let snapshot = &self.snapshot;
         let faulty = !network.fault_plan().is_empty();
         let up = &self.up;
-        let effects = ices_par::par_for_indices(&mut self.participants, members, |node, participant| {
-            let mut effect = RoundEffect::default();
-            if faulty && !up[node] {
-                // Crashed for this epoch: the node skips its round and
-                // rejoins warm (coordinate intact) when the epoch turns.
-                effect.self_down = true;
-                return effect;
-            }
-            for (k, &rp) in reference_points[node].iter().enumerate() {
-                let link = network.keyed_pair(node, rp, rp_keys[node][k]);
-                let rtt = if !faulty {
-                    link.smoothed(probe_nonce(round, node, k))
-                } else {
-                    let mut measured = None;
-                    if !up[rp] {
-                        effect.failed_rps.push((rp, ProbeFate::PeerDown));
+        let effects =
+            ices_par::par_for_indices(&mut self.participants, members, |node, participant| {
+                let mut effect = RoundEffect::default();
+                if faulty && !up[node] {
+                    // Crashed for this epoch: the node skips its round and
+                    // rejoins warm (coordinate intact) when the epoch turns.
+                    effect.tally.down = true;
+                    return effect;
+                }
+                for (k, &rp) in reference_points[node].iter().enumerate() {
+                    let link = network.keyed_pair(node, rp, rp_keys[node][k]);
+                    let rtt = if !faulty {
+                        link.smoothed(probe_nonce(round, node, k))
                     } else {
-                        // Both endpoints are up: only the link-fault
-                        // gate decides each attempt. Bounded
-                        // deterministic backoff: immediate re-probes
-                        // under fresh retry-stream nonces.
-                        let mut fate = ProbeFate::Lost;
-                        for attempt in 0..=PROBE_RETRIES {
-                            match link.try_smoothed(retry_nonce(round, node, k, attempt)) {
-                                ProbeOutcome::Ok(r) => {
-                                    measured = Some(r);
-                                    if attempt > 0 {
-                                        effect.retried_probes += 1;
-                                    }
-                                    break;
+                        let nonce = |attempt| retry_nonce(round, node, k, attempt);
+                        match first_attempt(network, &rp_keys[node][k], rp, up, nonce) {
+                            Ok(attempt) => {
+                                effect.tally.retried += u32::from(attempt > 0);
+                                effect.ok_rps.push(rp);
+                                link.smoothed(nonce(attempt))
+                            }
+                            Err(fate) => {
+                                effect.failed_rps.push((rp, fate));
+                                // Missing sample: a secured node's detector
+                                // coasts so its innovation statistics widen
+                                // honestly; positioning just sees one fewer
+                                // reference point this round. The coast runs
+                                // in the merge-phase batched sweep, holding
+                                // its probe-order position.
+                                if let Participant::Secured(_) = participant {
+                                    effect.pending.push((VetEvent::Missing, false));
+                                    effect.tally.coasted += 1;
                                 }
-                                ProbeOutcome::Lost => fate = ProbeFate::Lost,
-                                ProbeOutcome::TimedOut => fate = ProbeFate::TimedOut,
+                                continue;
                             }
                         }
-                        match measured {
-                            Some(_) => effect.ok_rps.push(rp),
-                            None => effect.failed_rps.push((rp, fate)),
+                    };
+                    // The node's own coordinate is read live: positioning
+                    // only buffers samples until the finish pass, so it
+                    // still equals its snapshot bit for bit.
+                    let seen = intake(adversary, snapshot, round, node, participant, rp, rtt);
+                    effect.tally.lies += u32::from(seen.lied);
+                    effect.tally.clamped += u32::from(seen.clamped);
+                    match participant {
+                        Participant::Plain(n) => {
+                            let out = n.apply_step(&seen.sample);
+                            effect.recorded.push(out.relative_error);
                         }
-                    }
-                    match measured {
-                        Some(r) => r,
-                        None => {
-                            // Missing sample: a secured node's detector
-                            // coasts so its innovation statistics widen
-                            // honestly; positioning just sees one fewer
-                            // reference point this round. The coast runs
-                            // in the merge-phase batched sweep, holding
-                            // its probe-order position.
-                            if let Participant::Secured(_) = participant {
-                                effect.pending.push((VetEvent::Missing, false));
-                                effect.coasted_steps += 1;
-                            }
-                            continue;
+                        Participant::Secured(_) => {
+                            // Defer the innovation test (and the buffer-on-
+                            // accept) to the merge phase: the whole layer's
+                            // samples are classified in one DetectorBank
+                            // sweep, column by column, which replays this
+                            // node's probe-order op sequence exactly.
+                            effect
+                                .pending
+                                .push((VetEvent::Sample(seen.sample), seen.lied));
                         }
-                    }
-                };
-                // Materialize only the two coordinates this probe
-                // touches; the honest path moves the RP coordinate into
-                // the sample instead of cloning it a second time.
-                let rp_coord = snapshot.coordinate(rp);
-                let rp_error = snapshot.error(rp);
-                let node_coord = snapshot.coordinate(node);
-                let tampered =
-                    adversary.intercept(rp, node, round, &rp_coord, rp_error, rtt, &node_coord);
-                let label_malicious = tampered.is_some();
-                let sample = match tampered {
-                    Some(mut t) => {
-                        effect.lied_steps += 1;
-                        // Intake invariant: tampered RTTs may be delayed
-                        // but never deflated below the measurement.
-                        if t.clamp_rtt(rtt) {
-                            effect.clamped_rtts += 1;
-                        }
-                        debug_assert!(
-                            t.rtt_ms >= rtt,
-                            "intake clamp must enforce rtt_ms >= measured rtt"
-                        );
-                        PeerSample {
-                            peer: rp,
-                            peer_coord: t.coord,
-                            peer_error: t.error,
-                            rtt_ms: t.rtt_ms,
-                        }
-                    }
-                    None => PeerSample {
-                        peer: rp,
-                        peer_coord: rp_coord,
-                        peer_error: rp_error,
-                        rtt_ms: rtt,
-                    },
-                };
-                match participant {
-                    Participant::Plain(n) => {
-                        let out = n.apply_step(&sample);
-                        effect.recorded.push(out.relative_error);
-                    }
-                    Participant::Secured(_) => {
-                        // Defer the innovation test (and the buffer-on-
-                        // accept) to the merge phase: the whole layer's
-                        // samples are classified in one DetectorBank
-                        // sweep, column by column, which replays this
-                        // node's probe-order op sequence exactly.
-                        effect.pending.push((VetEvent::Sample(sample), label_malicious));
                     }
                 }
-            }
-            effect
-        });
+                effect
+            });
 
         // Batched detection sweep: replay every deferred detector event
         // through one DetectorBank pass, bit-identical to the scalar
@@ -675,24 +382,14 @@ impl NpsSimulation {
                 if effect.pending.is_empty() {
                     continue;
                 }
-                let (events, labels): (Vec<VetEvent>, Vec<bool>) =
-                    effect.pending.drain(..).unzip();
+                let (events, labels): (Vec<VetEvent>, Vec<bool>) = effect.pending.drain(..).unzip();
                 vet_nodes.push(node);
                 vet_slots.push(slot);
                 node_events.push(events);
                 node_labels.push(labels);
             }
             if !vet_nodes.is_empty() {
-                let mut secured: Vec<&mut SecureNode<NpsNode>> =
-                    ices_par::select_disjoint_mut(&mut self.participants, &vet_nodes)
-                        .into_iter()
-                        .map(|p| match p {
-                            Participant::Secured(s) => &mut **s,
-                            Participant::Plain(_) => {
-                                panic!("only secured nodes defer detector work")
-                            }
-                        })
-                        .collect();
+                let mut secured = secured_mut(&mut self.participants, &vet_nodes);
                 // Each node's steps arrive in its probe order, so its
                 // effect lists fill exactly as a per-node loop would.
                 vet_sequences(&mut self.bank, &mut secured, &node_events, |i, k, step| {
@@ -703,7 +400,7 @@ impl NpsSimulation {
                             effect.recorded.push(outcome.relative_error);
                         }
                         SecureStep::Reprieved { .. } => {
-                            effect.reprieves += 1;
+                            effect.tally.reprieves += 1;
                         }
                         SecureStep::Rejected { .. } => {
                             if let VetEvent::Sample(sample) = &node_events[i][k] {
@@ -720,83 +417,34 @@ impl NpsSimulation {
         // sweep above). One batch per worker: each runs its nodes'
         // minimizations as lock-step lanes, and a node's result does not
         // depend on the batch it lands in.
-        {
-            let running: Vec<usize> = members
-                .iter()
-                .zip(&effects)
-                .filter(|(_, effect)| !effect.self_down)
-                .map(|(&node, _)| node)
+        let running: Vec<usize> = members
+            .iter()
+            .zip(&effects)
+            .filter(|(_, effect)| !effect.tally.down)
+            .map(|(&node, _)| node)
+            .collect();
+        let mut nodes: Vec<&mut NpsNode> =
+            ices_par::select_disjoint_mut(&mut self.participants, &running)
+                .into_iter()
+                .map(Participant::embedding_mut)
                 .collect();
-            let mut nodes: Vec<&mut NpsNode> =
-                ices_par::select_disjoint_mut(&mut self.participants, &running)
-                    .into_iter()
-                    .map(|p| match p {
-                        Participant::Plain(n) => n,
-                        Participant::Secured(s) => s.inner_mut(),
-                    })
-                    .collect();
-            ices_par::par_chunks_mut(&mut nodes, |_, batch| {
-                NpsNode::finish_rounds(batch);
-            });
-        }
+        ices_par::par_chunks_mut(&mut nodes, |_, batch| {
+            NpsNode::finish_rounds(batch);
+        });
 
         // Deferred round boundary for secured members, now repositioned:
         // settle the detector round, and refresh starved filters.
-        {
-            let mut finish_nodes = Vec::new();
-            let mut finish_slots = Vec::new();
-            for (slot, (&node, effect)) in members.iter().zip(effects.iter()).enumerate() {
-                if effect.self_down {
-                    continue;
-                }
-                if matches!(self.participants[node], Participant::Secured(_)) {
-                    finish_nodes.push(node);
-                    finish_slots.push(slot);
-                }
+        let ends = ices_par::par_for_indices(&mut self.participants, &running, |_, participant| {
+            match participant {
+                Participant::Secured(s) => end_round(s, registry, network, round),
+                Participant::Plain(_) => RoundEnd::Kept,
             }
-            if !finish_nodes.is_empty() {
-                let boundary = ices_par::par_for_indices(
-                    &mut self.participants,
-                    &finish_nodes,
-                    |_, participant| {
-                        let Participant::Secured(s) = participant else {
-                            panic!("only secured nodes reach the deferred round boundary")
-                        };
-                        let coord = s.inner().coordinate().clone();
-                        let mut refreshed = false;
-                        let mut stale = false;
-                        if s.end_round() == ices_core::protocol::RoundAction::RefreshFilter {
-                            // Only Surveyors that are up right now
-                            // qualify; with every Surveyor down the node
-                            // keeps its stale-but-bounded calibration.
-                            // (On a clean network `node_up` is always
-                            // true, so this is exactly the unconditional
-                            // lookup.)
-                            match registry.closest_available_by_coordinate(&coord, |info| {
-                                network.node_up(info.id, round)
-                            }) {
-                                Some(info) => {
-                                    let (params, id) = (info.params, info.id);
-                                    s.refresh_filter(params, id);
-                                    refreshed = true;
-                                }
-                                None => {
-                                    stale = true;
-                                }
-                            }
-                        }
-                        (refreshed, stale)
-                    },
-                );
-                for (i, (refreshed, stale)) in boundary.into_iter().enumerate() {
-                    let effect = &mut effects[finish_slots[i]];
-                    effect.refreshed_filter = refreshed;
-                    effect.stale_fallback = stale;
-                }
-            }
+        });
+        let ran = effects.iter_mut().filter(|effect| !effect.tally.down);
+        for (effect, end) in ran.zip(ends) {
+            effect.round_end = end;
         }
 
-        let journaled = self.obs.journal_enabled();
         for (&node, effect) in members.iter().zip(effects) {
             // Completed probes: every vetted verdict for a secured node,
             // every recorded sample for a plain one (plain nodes have no
@@ -810,126 +458,74 @@ impl NpsSimulation {
             for (label_malicious, flagged) in effect.vetted {
                 self.obs.record_confusion(label_malicious, flagged);
             }
-            self.obs.reprieves(effect.reprieves);
             for d in effect.recorded {
-                if journaled {
-                    self.obs.observe_relative_error(d);
-                }
-                if collect {
-                    self.traces[node].push(d);
-                }
+                self.record(node, d, collect);
             }
             for rp in effect.rejected_rps {
                 self.replace_reference_point(node, rp);
                 self.obs.replacement(node, rp);
             }
-            if effect.refreshed_filter {
-                self.obs.filter_refresh(node);
-            }
+            self.count_round_end(node, effect.round_end);
+            self.count(&effect.tally);
             // Fault bookkeeping (all branches dead on a clean network).
-            if effect.self_down {
-                self.obs.node_down_tick();
-            }
-            self.obs.retried_probes(effect.retried_probes);
-            self.obs.coasted_steps(effect.coasted_steps);
-            if effect.lied_steps > 0 {
-                self.obs.active_lies(effect.lied_steps);
-            }
-            if effect.clamped_rtts > 0 {
-                self.obs.clamped_rtts(effect.clamped_rtts);
-            }
-            if effect.stale_fallback {
-                self.obs.stale_filter_fallback(node);
-            }
             for rp in effect.ok_rps {
-                self.probe_failures[node].remove(&rp);
+                self.probe_succeeded(node, rp);
             }
             for (rp, fate) in effect.failed_rps {
-                match fate {
-                    ProbeFate::Lost => self.obs.lost_probe(),
-                    ProbeFate::TimedOut => self.obs.timed_out_probe(),
-                    ProbeFate::PeerDown => self.obs.peer_down_probe(),
-                }
-                let failures = self.probe_failures[node].entry(rp).or_insert(0);
-                *failures += 1;
-                if *failures >= DEAD_RP_EVICT_FAILURES {
-                    self.probe_failures[node].remove(&rp);
-                    self.evict_dead_reference_point(node, rp);
+                if self.probe_failed(node, rp, fate) {
+                    self.replace_reference_point(node, rp);
                 }
             }
         }
-        // Slow-drift displacement gauge: set only when the adversary
-        // actually drifts, so honest-run journals stay byte-identical.
-        let drift = adversary.drift_accumulated_ms(round);
-        if drift > 0.0 {
-            self.obs.set_drift_ms(drift);
-        }
     }
 
-    /// Evict a reference point that failed [`DEAD_RP_EVICT_FAILURES`]
-    /// consecutive probes. Surveyors must keep positioning against
-    /// trusted nodes only, so their replacement pool is restricted to
-    /// Surveyors of the layer above (falling back to landmarks); normal
-    /// nodes use the ordinary same-layer replacement path.
-    fn evict_dead_reference_point(&mut self, node: usize, dead: usize) {
-        self.obs.eviction(node);
-        if !self.surveyors.contains(&node) && !self.config.embed_against_surveyors_only {
-            self.replace_reference_point(node, dead);
+    /// The nodes `node` may take a fresh reference point from: serving
+    /// nodes of the layer above, or — for Surveyors, and for every node
+    /// of a surveyor-only scenario — Surveyors of the layer above and
+    /// landmarks, so trusted positioning stays trusted through any
+    /// number of replacements. Never `node` itself or a current RP.
+    fn replacement_pool(&self, node: usize) -> Vec<usize> {
+        let hierarchy = &self.backend.hierarchy;
+        let above = hierarchy.layer[node].wrapping_sub(1);
+        let current = &self.backend.reference_points[node];
+        let trusted_only =
+            self.surveyors.contains(&node) || self.config.embed_against_surveyors_only;
+        (0..self.len())
+            .filter(|&i| {
+                let eligible = if trusted_only {
+                    self.surveyors.contains(&i)
+                        && (hierarchy.layer[i] == above || hierarchy.role[i] == Role::Landmark)
+                } else {
+                    hierarchy.layer[i] == above
+                        && matches!(hierarchy.role[i], Role::Landmark | Role::ReferencePoint)
+                };
+                eligible && !current.contains(&i) && i != node
+            })
+            .collect()
+    }
+
+    /// Swap `old` — a rejected or dead reference point — for a random
+    /// member of `node`'s [replacement pool](Self::replacement_pool), or
+    /// keep it when the pool is empty.
+    fn replace_reference_point(&mut self, node: usize, old: usize) {
+        let pool = self.replacement_pool(node);
+        if pool.is_empty() {
             return;
         }
-        let above = self.hierarchy.layer[node].wrapping_sub(1);
-        let current = &self.reference_points[node];
-        let pool: Vec<usize> = (0..self.len())
-            .filter(|&i| {
-                self.surveyors.contains(&i)
-                    && (self.hierarchy.layer[i] == above
-                        || self.hierarchy.role[i] == Role::Landmark)
-                    && !current.contains(&i)
-                    && i != node
-            })
-            .collect();
-        if pool.is_empty() {
-            return; // No fresh trusted node available: keep the dead RP.
-        }
-        let candidate = pool[self.rng.random_range(0..pool.len())];
-        self.swap_reference_point(node, dead, candidate);
-    }
-
-    /// Put `new` in the slot `old` holds in `node`'s reference-point set.
-    fn swap_reference_point(&mut self, node: usize, old: usize, new: usize) {
-        if let Some(slot) = self.reference_points[node].iter().position(|&p| p == old) {
-            self.set_reference_point(node, slot, new);
+        let rp = pool[self.rng.random_range(0..pool.len())];
+        if let Some(slot) = self.backend.reference_points[node]
+            .iter()
+            .position(|&p| p == old)
+        {
+            self.set_reference_point(node, slot, rp);
         }
     }
 
     /// Put `rp` in `node`'s reference-point `slot`, with its probe key
     /// beside it.
     fn set_reference_point(&mut self, node: usize, slot: usize, rp: usize) {
-        self.reference_points[node][slot] = rp;
-        self.rp_keys[node][slot] = self.network.probe_key(node, rp);
-    }
-
-    /// Swap a rejected reference point for another serving node of the
-    /// same layer (or keep it if none is available).
-    fn replace_reference_point(&mut self, node: usize, rejected: usize) {
-        let above = self.hierarchy.layer[node].wrapping_sub(1);
-        let current = &self.reference_points[node];
-        let candidates: Vec<usize> = (0..self.len())
-            .filter(|&i| {
-                self.hierarchy.layer[i] == above
-                    && matches!(
-                        self.hierarchy.role[i],
-                        Role::Landmark | Role::ReferencePoint
-                    )
-                    && !current.contains(&i)
-                    && i != node
-            })
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        let replacement = candidates[self.rng.random_range(0..candidates.len())];
-        self.swap_reference_point(node, rejected, replacement);
+        self.backend.reference_points[node][slot] = rp;
+        self.backend.rp_keys[node][slot] = self.network.probe_key(node, rp);
     }
 
     /// Run `rounds` full positioning rounds: landmarks first, then each
@@ -940,249 +536,42 @@ impl NpsSimulation {
     /// changes the result.
     pub fn run(&mut self, rounds: usize, adversary: &dyn Adversary, collect: bool) {
         // Layer groups, ascending; ids ascending within each layer.
-        let max_layer = self.hierarchy.layer.iter().copied().max().unwrap_or(0);
+        let layer = &self.backend.hierarchy.layer;
+        let max_layer = layer.iter().copied().max().unwrap_or(0);
         let layers: Vec<Vec<usize>> = (0..=max_layer)
-            .map(|l| {
-                (0..self.len())
-                    .filter(|&i| self.hierarchy.layer[i] == l)
-                    .collect()
-            })
+            .map(|l| (0..layer.len()).filter(|&i| layer[i] == l).collect())
             .collect();
-        let start = self.round;
+        let start = self.tick;
         for _ in 0..rounds {
-            let round = self.round;
-            self.round += 1;
-            self.obs.begin_tick(round);
-            // Nodes whose arming was deferred by a Surveyor outage retry
-            // before the round proper (no-op — and no RNG draw — unless
-            // a deferral actually happened).
-            self.retry_pending_arms();
-            if !self.network.fault_plan().is_empty() {
-                self.network.fill_up_mask(round, &mut self.up);
-            }
+            let round = self.open_tick();
             for members in &layers {
                 if !members.is_empty() {
                     self.layer_round(round, members, adversary, collect);
                 }
             }
             self.refresh_registry_coordinates();
-            if self.obs.journal_enabled() {
-                // Journal-only gauge: mean node-local embedding error.
-                let n = self.participants.len().max(1) as f64;
-                let sum: f64 = self.participants.iter().map(Participant::local_error).sum();
-                self.obs.set_mean_local_error(sum / n);
-            }
-            self.obs.tick_boundary(round);
+            self.close_tick(round, adversary);
         }
-        self.obs.phase("run", self.round - start);
+        self.obs.phase("run", self.tick - start);
     }
 
     /// Run attack-free rounds, collecting traces.
     pub fn run_clean(&mut self, rounds: usize) {
         self.run(rounds, &ices_attack::HonestWorld, true);
     }
-
-    fn refresh_registry_coordinates(&mut self) {
-        let updates: Vec<SurveyorInfo> = self
-            .registry
-            .all()
-            .iter()
-            .map(|s| SurveyorInfo {
-                id: s.id,
-                coordinate: self.participants[s.id].coordinate().clone(),
-                params: s.params,
-            })
-            .collect();
-        for info in updates {
-            self.registry.register(info);
-        }
-    }
-
-    /// Reset every node's positioning state (the §3.2 "forget and
-    /// rejoin" protocol). Traces and calibration are kept.
-    pub fn forget_coordinates(&mut self) {
-        for p in &mut self.participants {
-            match p {
-                Participant::Plain(n) => n.reset(),
-                Participant::Secured(s) => s.inner_mut().reset(),
-            }
-        }
-    }
-
-    /// EM-calibrate *every* node on its own trace (for the §3.2
-    /// validation experiments). Returns outcomes indexed by node.
-    pub fn calibrate_all_traces(&self, em: &EmConfig) -> Vec<ices_core::CalibrationOutcome> {
-        self.traces
-            .iter()
-            .map(|t| calibrate(t, StateSpaceParams::em_initial_guess(), em))
-            .collect()
-    }
-
-    /// EM-calibrate every Surveyor and publish to the registry.
-    pub fn calibrate_surveyors(&mut self, em: &EmConfig) {
-        let ids: Vec<usize> = self.surveyors.iter().copied().collect();
-        for id in ids {
-            let outcome = calibrate(&self.traces[id], StateSpaceParams::em_initial_guess(), em);
-            self.registry.register(SurveyorInfo {
-                id,
-                coordinate: self.participants[id].coordinate().clone(),
-                params: outcome.params,
-            });
-        }
-        self.obs.phase("calibrate", 0);
-    }
-
-    /// Arm detection on every honest non-Surveyor node (closest-of-k
-    /// random Surveyor join, as in §4.2). No-op when the scenario
-    /// disables detection.
-    ///
-    /// # Panics
-    /// Panics if the registry is empty.
-    pub fn arm_detection(&mut self) {
-        if !self.config.detection {
-            return;
-        }
-        assert!(
-            !self.registry.is_empty(),
-            "calibrate Surveyors before arming detection"
-        );
-        for node in self.normal_nodes() {
-            if !self.try_arm_node(node) {
-                // Total Surveyor outage at arm time: defer this node's
-                // arming to the next round rather than indexing an
-                // empty candidate draw.
-                self.pending_arms.insert(node);
-                self.obs.defer_arm(node);
-            }
-        }
-        self.obs.phase("arm", 0);
-    }
-
-    /// Retry every deferred arm. Nodes that secure now count as late
-    /// arms; the rest stay pending, each failed retry counting as
-    /// another deferral. No-op (and no RNG draw) when nothing is
-    /// pending, so runs without deferrals are bit-identical to the
-    /// pre-deferral behavior.
-    fn retry_pending_arms(&mut self) {
-        if self.pending_arms.is_empty() {
-            return;
-        }
-        let pending: Vec<usize> = self.pending_arms.iter().copied().collect();
-        for node in pending {
-            if self.try_arm_node(node) {
-                self.pending_arms.remove(&node);
-                self.obs.late_arm(node);
-            } else {
-                self.obs.defer_arm(node);
-            }
-        }
-    }
-
-    /// Arm one node: sample Surveyor candidates, probe them, adopt the
-    /// closest live one's filter (§4.2 join), and wrap the node in a
-    /// [`SecureNode`]. Returns `false` — deferring the arm — when the
-    /// candidate draw has no live Surveyor at all (total outage).
-    fn try_arm_node(&mut self, node: usize) -> bool {
-        let faulty = !self.network.fault_plan().is_empty();
-        let round = self.round;
-        let mut candidates = self.registry.sample(JOIN_PROBE_CANDIDATES, &mut self.rng);
-        if faulty {
-            // Crashed Surveyors drop out of the candidate race before
-            // anything is probed; on a clean network every node is up,
-            // so this retain is a no-op and candidate indices (and
-            // their join nonces) are unchanged from seed behavior.
-            candidates.retain(|s| self.network.node_up(s.id, round));
-        }
-        if candidates.is_empty() {
-            return false;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (k, s) in candidates.iter().enumerate() {
-            // Join probes draw nonces from their own stream, keyed by
-            // (node, candidate index) — disjoint from the positioning
-            // rounds' probe nonces.
-            let nonce = derive2(streams::NPSJ, node as u64, k as u64);
-            if !faulty {
-                let rtt = self.network.measure_rtt_smoothed(node, s.id, nonce);
-                if best.map(|(_, d)| rtt < d).unwrap_or(true) {
-                    best = Some((k, rtt));
-                }
-            } else {
-                match self.network.try_measure_rtt_smoothed(node, s.id, nonce, round) {
-                    ProbeOutcome::Ok(rtt) => {
-                        if best.map(|(_, d)| rtt < d).unwrap_or(true) {
-                            best = Some((k, rtt));
-                        }
-                    }
-                    ProbeOutcome::Lost | ProbeOutcome::TimedOut => {}
-                }
-            }
-        }
-        // Every probe lost (heavy loss against live Surveyors): fall
-        // back to the first live candidate rather than refusing to arm
-        // — a stale choice beats no detector. The guard above makes the
-        // index safe: `candidates` is non-empty here by construction.
-        let chosen = best
-            .map(|(k, _)| &candidates[k])
-            // audit:allow(PANIC02): non-empty guard above (see comment)
-            .unwrap_or_else(|| &candidates[0]);
-        let source = chosen.id;
-        let params = chosen.params;
-        let placeholder = Participant::Plain(NpsNode::new(node, self.nps, 0));
-        let old = std::mem::replace(&mut self.participants[node], placeholder);
-        let inner = match old {
-            Participant::Plain(v) => v,
-            Participant::Secured(_) => panic!("node {node} already secured"),
-        };
-        let mut secured = SecureNode::new(inner, params, source, self.security);
-        // Prime the filter with the node's recent clean history so a
-        // converged node is not mistaken for a freshly joining one.
-        let trace = &self.traces[node];
-        let tail = &trace[trace.len().saturating_sub(PRIME_SAMPLES)..];
-        secured.prime(tail);
-        self.participants[node] = Participant::Secured(Box::new(secured));
-        true
-    }
-
-    /// System-accuracy report over honest normal nodes (Fig 15's CDF).
-    pub fn accuracy_report(&mut self, pairs_per_node: usize) -> AccuracyReport {
-        let nodes = self.normal_nodes();
-        let mut all = Vec::new();
-        let mut p95 = Vec::new();
-        for &node in &nodes {
-            let mut errors = Vec::with_capacity(pairs_per_node);
-            for _ in 0..pairs_per_node {
-                let other = nodes[self.rng.random_range(0..nodes.len())];
-                if other == node {
-                    continue;
-                }
-                let est = self.participants[node]
-                    .coordinate()
-                    .distance(self.participants[other].coordinate());
-                let truth = self.network.base_rtt(node, other);
-                errors.push((est - truth).abs() / truth);
-            }
-            if errors.is_empty() {
-                continue;
-            }
-            all.extend_from_slice(&errors);
-            p95.push(ices_stats::ecdf::percentile(&errors, 95.0));
-        }
-        AccuracyReport {
-            relative_errors: all,
-            p95_per_node: p95,
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scenario::SurveyorPlacement;
+    use crate::scenario::TopologyKind;
     use ices_attack::NpsCollusionAttack;
     use ices_coord::Space;
+    use ices_core::EmConfig;
+    use ices_netsim::FaultPlan;
 
-    fn small_nps() -> NpsConfig {
+    pub(crate) fn small_nps() -> NpsConfig {
         NpsConfig {
             space: Space::euclidean(2),
             landmarks: 8,
@@ -1212,23 +601,13 @@ mod tests {
     }
 
     #[test]
-    fn construction_partitions_population() {
-        let sim = build(1);
-        assert_eq!(sim.len(), 80);
-        // All landmarks are surveyors.
-        for l in sim.hierarchy().landmarks() {
-            assert!(sim.surveyors().contains(&l));
-        }
-        for m in sim.malicious() {
-            assert!(!sim.surveyors().contains(m));
-        }
-    }
-
-    #[test]
     fn surveyor_rps_are_trusted() {
         let sim = build(2);
+        for l in sim.hierarchy().landmarks() {
+            assert!(sim.surveyors().contains(&l), "landmark {l} is no Surveyor");
+        }
         for &s in sim.surveyors() {
-            for &rp in &sim.reference_points[s] {
+            for &rp in &sim.backend.reference_points[s] {
                 assert!(
                     sim.surveyors().contains(&rp),
                     "surveyor {s} positions against untrusted {rp}"
@@ -1247,31 +626,6 @@ mod tests {
             "median accuracy after clean NPS run: {}",
             report.median()
         );
-    }
-
-    #[test]
-    fn traces_accumulate_per_round() {
-        let mut sim = build(4);
-        sim.run_clean(2);
-        for node in 0..sim.len() {
-            assert_eq!(
-                sim.traces()[node].len(),
-                sim.reference_points[node].len() * 2,
-                "node {node}"
-            );
-        }
-    }
-
-    #[test]
-    fn calibrate_and_arm() {
-        let mut sim = build(5);
-        sim.run_clean(4);
-        sim.calibrate_surveyors(&EmConfig::default());
-        assert_eq!(sim.registry().len(), sim.surveyors().len());
-        sim.arm_detection();
-        for node in sim.normal_nodes() {
-            assert!(matches!(sim.participants[node], Participant::Secured(_)));
-        }
     }
 
     #[test]
@@ -1308,9 +662,9 @@ mod tests {
         use ices_netsim::ChurnModel;
         let assert_in_step = |sim: &NpsSimulation, when: &str| {
             for node in 0..sim.len() {
-                for (slot, &rp) in sim.reference_points[node].iter().enumerate() {
+                for (slot, &rp) in sim.backend.reference_points[node].iter().enumerate() {
                     assert_eq!(
-                        sim.rp_keys[node][slot],
+                        sim.backend.rp_keys[node][slot],
                         sim.network.probe_key(node, rp),
                         "{when}: node {node} slot {slot}"
                     );
@@ -1333,38 +687,15 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_runs() {
-        let run = || {
-            let mut sim = build(7);
-            sim.run_clean(3);
-            sim.accuracy_report(10).median()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn empty_fault_plan_changes_nothing() {
-        let clean = || {
-            let mut sim = build(8);
-            sim.run_clean(3);
-            sim.accuracy_report(10).median()
-        };
-        let explicit_empty = || {
-            let mut sim = build(8);
-            sim.set_fault_plan(FaultPlan::none());
-            sim.run_clean(3);
-            sim.accuracy_report(10).median()
-        };
-        assert_eq!(clean(), explicit_empty());
-    }
-
-    #[test]
     fn lossy_network_still_converges_and_counts_faults() {
         let mut sim = build(9);
         sim.set_fault_plan(FaultPlan::lossy(0.1, 0.05));
         sim.run_clean(6);
         let faults = &sim.report().faults;
-        assert!(faults.retried_probes > 0, "retries should fire at 15% failure");
+        assert!(
+            faults.retried_probes > 0,
+            "retries should fire at 15% failure"
+        );
         assert!(
             faults.lost_probes + faults.timed_out_probes > 0,
             "some probes should fail terminally"
@@ -1374,24 +705,6 @@ mod tests {
             report.median() < 0.35,
             "NPS should still converge under 15% probe failure, median {}",
             report.median()
-        );
-    }
-
-    #[test]
-    fn churn_crashes_nodes_and_coasts_detectors() {
-        use ices_netsim::ChurnModel;
-        let mut sim = build(10);
-        sim.run_clean(4);
-        sim.calibrate_surveyors(&EmConfig::default());
-        sim.arm_detection();
-        sim.set_fault_plan(FaultPlan::lossy(0.15, 0.05).with_churn(ChurnModel::new(2, 0.2)));
-        sim.run(4, &ices_attack::HonestWorld, false);
-        let faults = &sim.report().faults;
-        assert!(faults.node_down_ticks > 0, "churn should crash some nodes");
-        assert!(faults.peer_down_probes > 0, "probes should hit crashed RPs");
-        assert!(
-            faults.coasted_steps > 0,
-            "secured nodes should coast over missing samples"
         );
     }
 

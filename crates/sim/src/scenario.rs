@@ -1,6 +1,6 @@
 //! Scenario configuration shared by the drivers.
 
-use ices_netsim::{KingConfig, PlanetLabConfig};
+use ices_netsim::{KingConfig, Network, PlanetLabConfig, SynthRtt};
 use serde::{Deserialize, Serialize};
 
 /// Which synthetic substrate to run on.
@@ -44,6 +44,31 @@ impl TopologyKind {
     /// A small PlanetLab-like deployment for tests.
     pub fn small_planetlab(nodes: usize) -> Self {
         Self::PlanetLab(PlanetLabConfig::small(nodes))
+    }
+
+    /// Build the network this topology describes from `seed`, with the
+    /// nodes' ground-truth latent positions (k-means Surveyor placement
+    /// reads them; the network itself keeps none).
+    pub fn network(&self, seed: u64) -> (Network, Vec<(f64, f64)>) {
+        match self {
+            TopologyKind::King(kc) => {
+                let mut topo = kc.generate(seed);
+                let positions = std::mem::take(&mut topo.positions);
+                (Network::from_king(topo, seed), positions)
+            }
+            TopologyKind::StreamedKing(kc) => {
+                // Same King model, no O(n²) matrix: pairs are recomputed
+                // on demand and the placement is the only per-node state.
+                let synth = SynthRtt::new(kc.clone(), seed);
+                let positions = synth.placement().positions.clone();
+                (Network::from_synth(synth, seed), positions)
+            }
+            TopologyKind::PlanetLab(pc) => {
+                let mut pl = pc.generate(seed);
+                let positions = std::mem::take(&mut pl.topology.positions);
+                (Network::from_planetlab(pl, seed), positions)
+            }
+        }
     }
 
     /// Node count.

@@ -15,8 +15,8 @@
 //! `AdversaryReport` counters.
 
 use ices_attack::{Adversary, DefenseConfig, EclipseAttack, SlowDriftAttack, SybilSwarmAttack};
-use ices_core::EmConfig;
 use ices_coord::Coordinate;
+use ices_core::EmConfig;
 use ices_netsim::{ChurnModel, EclipsePlan, FaultPlan};
 use ices_sim::metrics::DetectionReport;
 use ices_sim::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};

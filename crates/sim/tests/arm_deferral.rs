@@ -58,7 +58,10 @@ fn vivaldi_arm_defers_under_outage_and_recovers_when_it_lifts() {
     sim.run_clean(1);
     assert!(sim.pending_arms().is_empty(), "all pending nodes must arm");
     let faults = sim.report().faults;
-    assert!(faults.late_arms > 0, "late arms must be counted: {faults:?}");
+    assert!(
+        faults.late_arms > 0,
+        "late arms must be counted: {faults:?}"
+    );
     assert!(normals.iter().all(|&n| sim.is_secured(n)));
 }
 
@@ -84,6 +87,9 @@ fn nps_arm_defers_under_outage_and_recovers_when_it_lifts() {
     sim.run_clean(1);
     assert!(sim.pending_arms().is_empty(), "all pending nodes must arm");
     let faults = sim.report().faults;
-    assert!(faults.late_arms > 0, "late arms must be counted: {faults:?}");
+    assert!(
+        faults.late_arms > 0,
+        "late arms must be counted: {faults:?}"
+    );
     assert!(normals.iter().all(|&n| sim.is_secured(n)));
 }

@@ -12,8 +12,8 @@
 //! and the detection report including the fault counters.
 
 use ices_attack::{NpsCollusionAttack, VivaldiIsolationAttack};
-use ices_core::EmConfig;
 use ices_coord::Coordinate;
+use ices_core::EmConfig;
 use ices_netsim::{ChurnModel, FaultPlan};
 use ices_sim::metrics::DetectionReport;
 use ices_sim::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};

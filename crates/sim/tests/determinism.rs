@@ -11,8 +11,8 @@
 //! here as a float diverging in the last ulp.
 
 use ices_attack::{NpsCollusionAttack, VivaldiIsolationAttack};
-use ices_core::EmConfig;
 use ices_coord::Coordinate;
+use ices_core::EmConfig;
 use ices_sim::metrics::DetectionReport;
 use ices_sim::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
 use ices_sim::trace::TraceRing;

@@ -11,8 +11,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ices_attack::{NpsCollusionAttack, VivaldiIsolationAttack};
-use ices_core::EmConfig;
 use ices_coord::Coordinate;
+use ices_core::EmConfig;
 use ices_netsim::{ChurnModel, FaultPlan};
 use ices_obs::Journal;
 use ices_sim::metrics::DetectionReport;
@@ -106,8 +106,14 @@ fn check(run: impl Fn(u64, bool) -> (Fingerprint, Option<Vec<u8>>) + Copy, seed:
         "the fault plan must actually fire for this test to mean anything"
     );
     // Journal on vs off: every observable identical, at both widths.
-    assert_eq!(plain_seq, journ_seq, "journaling perturbed the sequential run");
-    assert_eq!(plain_par, journ_par, "journaling perturbed the parallel run");
+    assert_eq!(
+        plain_seq, journ_seq,
+        "journaling perturbed the sequential run"
+    );
+    assert_eq!(
+        plain_par, journ_par,
+        "journaling perturbed the parallel run"
+    );
     assert_eq!(plain_seq, plain_par, "thread count changed the run");
 
     // The journal bytes themselves are thread-count invariant.

@@ -323,8 +323,11 @@ impl ServiceCore {
                         )
                         .ok();
                     }
+                    // An invalid security config leaves the intake
+                    // unarmed: every claim is answered `NotReady`.
+                    // `Daemon::bind` refuses such a config up front.
                     if self.node.is_none() {
-                        self.node = Some(SecureNode::new(
+                        self.node = SecureNode::new(
                             ServiceEmbedding {
                                 coordinate: self.coordinate.clone(),
                                 local_error: 0.1,
@@ -332,7 +335,8 @@ impl ServiceCore {
                             params,
                             id,
                             self.config.security,
-                        ));
+                        )
+                        .ok();
                     }
                     if let Some(j) = self.journal.as_mut() {
                         j.node_event(now, "surveyor_register", id);
@@ -539,11 +543,19 @@ impl Daemon {
     }
 
     /// Bind with an explicit clock (tests use `ices_obs::TickClock`).
+    ///
+    /// # Errors
+    /// An invalid security config is refused with
+    /// [`io::ErrorKind::InvalidInput`] before any socket is bound.
     pub fn bind_with_clock(
         addr: impl ToSocketAddrs,
         config: ServiceConfig,
         clock: ServiceClockBox,
     ) -> io::Result<Self> {
+        config
+            .security
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let socket = UdpSocket::bind(addr)?;
         socket.set_read_timeout(Some(POLL_TIMEOUT))?;
         Ok(Self {
@@ -625,6 +637,17 @@ impl Daemon {
 mod tests {
     use super::*;
     use ices_core::StateSpaceParams;
+
+    #[test]
+    fn bind_refuses_an_invalid_security_config() {
+        let mut config = ServiceConfig::default();
+        config.security.alpha = 1.5;
+        let err = Daemon::bind("127.0.0.1:0", config)
+            .err()
+            .expect("invalid alpha");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("alpha"), "message: {err}");
+    }
 
     fn params() -> StateSpaceParams {
         StateSpaceParams {

@@ -15,14 +15,24 @@ cargo test -q
 # `cargo test` above covers only the `ices` facade package.
 cargo test --workspace -q
 
+# Formatting of the simulation crate (the whole workspace is not
+# gated: `cargo fmt --all` would also rewrite the vendored shims).
+cargo fmt -p ices-sim -- --check
+
 # The NPS goldens, the pipeline goldens, the NPS driver's unit tests
-# and the simulation determinism suites again, built with
+# (its own module and the shared secured-core tests, which run on both
+# backends) and the simulation determinism suites again, built with
 # optimisation: the packed lane kernel only exists in optimised code,
-# which the debug `cargo test` runs above never reach.
+# which the debug `cargo test` runs above never reach. A name filter
+# that matches nothing passes silently, so the filter's match count is
+# checked first.
 cargo test --release -q -p ices-nps
-cargo test --release -q -p ices-sim --lib nps_driver
+sim_driver_filter=(-p ices-sim --lib -- nps_driver secured)
+test "$(cargo test --release -q "${sim_driver_filter[@]}" --list | grep -c ': test$')" -gt 0
+cargo test --release -q "${sim_driver_filter[@]}"
 cargo test --release -q -p ices-sim --test golden_pipeline --test determinism \
-  --test chaos_determinism --test adversary_determinism --test obs_invariance
+  --test chaos_determinism --test adversary_determinism --test obs_invariance \
+  --test secured_backends --test arm_deferral
 # The batched probe passes, the split vet sweep and the pass-built King
 # construction (row fill, close/far pools, sparse index sampler),
 # optimised: the equivalence tests must hold where the passes are
