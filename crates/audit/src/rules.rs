@@ -17,9 +17,9 @@
 //!   outside `crates/par` and `crates/svc`: simulation parallelism goes
 //!   through `ices-par`, whose entry points are order-preserving by
 //!   construction (the persistent worker pool included — its named
-//!   `Builder` spawns live in par). The svc daemon's socket loop and
-//!   the loadgen's client workers are real concurrency by design and
-//!   never touch simulation state.
+//!   `Builder` spawns live in par). The svc daemon's socket loop (its
+//!   loopback tests run it on a thread of its own) is real concurrency
+//!   by design and never touches simulation state.
 //! * **PANIC01** — no `.unwrap()`/`.expect(` in non-test library code
 //!   (tests, examples, and binaries are exempt): probe/detector paths
 //!   must degrade through `Result`s, not abort a simulation.

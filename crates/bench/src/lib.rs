@@ -24,8 +24,6 @@ use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
 
-pub mod check;
-
 /// The one sanctioned wall-clock [`ices_obs::Clock`]: milliseconds since
 /// construction, read from [`std::time::Instant`].
 ///

@@ -33,8 +33,8 @@ use std::fmt;
 /// Wire protocol version stamped as the first byte of every datagram.
 pub const WIRE_VERSION: u8 = 1;
 
-/// Hard cap on an encoded datagram (fits any loopback/Ethernet MTU
-/// configuration the loadgen uses; well under the UDP maximum).
+/// Hard cap on an encoded datagram (fits a loopback or Ethernet MTU;
+/// well under the UDP maximum).
 pub const MAX_DATAGRAM: usize = 2048;
 
 /// Most embedding dimensions a wire coordinate may carry (the paper's

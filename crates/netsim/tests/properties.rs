@@ -107,3 +107,27 @@ proptest! {
         prop_assert_eq!(pl.profiles.len(), nodes);
     }
 }
+
+/// A million-node streamed King network is O(n) to build and answers
+/// base-RTT queries between arbitrary pairs. The pairs come from a Weyl
+/// sequence: deterministic and free of any RNG stream. About 0.15 s to
+/// build optimised; far longer in a debug build.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn million_node_streamed_network_answers_a_probe_storm() {
+    const NODES: usize = 1_000_000;
+    const PROBES: usize = 200_000;
+    let network = Network::from_king_streamed(KingConfig::small(NODES), 2007);
+    assert_eq!(network.len(), NODES);
+    let mut acc = 0usize;
+    let mut checksum = 0.0f64;
+    for i in 0..PROBES {
+        acc = acc.wrapping_add(0x9E37_79B9_7F4A_7C15usize);
+        let a = acc % NODES;
+        let b = (acc >> 20).wrapping_add(i) % NODES;
+        if a != b {
+            checksum += network.base_rtt(a, b);
+        }
+    }
+    assert!(checksum.is_finite() && checksum > 0.0, "checksum {checksum}");
+}

@@ -93,8 +93,8 @@ pub mod names {
     /// every one of them.
     pub const SVC_RX: &str = "svc.rx_datagrams";
     pub const SVC_TX: &str = "svc.tx_datagrams";
-    /// Datagrams the wire codec refused (the loadgen gate pins this
-    /// at zero for well-formed traffic).
+    /// Datagrams the wire codec refused (perfbench's `svc_loopback`
+    /// output checks pin this at zero for well-formed traffic).
     pub const SVC_DECODE_ERRORS: &str = "svc.decode_errors";
     pub const SVC_PROBES: &str = "svc.probes";
     pub const SVC_CALIBRATIONS: &str = "svc.calibrations";

@@ -448,11 +448,16 @@ impl VivaldiSimulation {
     /// are re-steered toward attacker nodes immediately, and future
     /// replacement draws are steered with the plan's strength. Surveyor
     /// victims are ignored — their §3.3 isolation invariant (Surveyors
-    /// embed only among themselves) outranks the poisoning model. The
-    /// empty plan is a bit-identical no-op.
+    /// embed only among themselves) outranks the poisoning model — and
+    /// so is every victim of a surveyor-only scenario, whose §6 promise
+    /// is the same: the guard of [`Self::replace_neighbor`]. The empty
+    /// plan is a bit-identical no-op.
     pub fn set_eclipse(&mut self, plan: EclipsePlan) {
         for node in 0..self.len() {
-            if self.surveyors.contains(&node) || !plan.is_victim(node) {
+            if self.surveyors.contains(&node)
+                || self.config.embed_against_surveyors_only
+                || !plan.is_victim(node)
+            {
                 continue;
             }
             let mut poisoned = self.backend.neighbors[node].clone();

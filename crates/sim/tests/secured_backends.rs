@@ -2,12 +2,14 @@
 //! round-boundary filter refresh falls back to stale filters when every
 //! Surveyor is down, and in the §6 dedicated-Surveyor variant no
 //! replacement ever lets a non-Surveyor into a normal node's peer set.
-//! Each test body runs once per simulation type.
+//! Each test body runs once per simulation type; the last test holds
+//! the same §6 promise against Vivaldi's registrar poisoning, which has
+//! no NPS counterpart.
 
 use ices_attack::{Adversary, NpsCollusionAttack, VivaldiIsolationAttack};
 use ices_coord::Space;
 use ices_core::EmConfig;
-use ices_netsim::{ChurnModel, FaultPlan};
+use ices_netsim::{ChurnModel, EclipsePlan, FaultPlan};
 use ices_nps::NpsConfig;
 use ices_sim::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
 use ices_sim::{NpsSimulation, VivaldiSimulation};
@@ -129,4 +131,38 @@ macro_rules! on_both_backends {
 on_both_backends! {
     vivaldi_sim: 50, 8, vivaldi, vivaldi_attack, neighbors_of;
     nps_sim: 80, 24, nps, nps_attack, reference_points_of;
+}
+
+#[test]
+fn dedicated_peer_sets_survive_registrar_poisoning() {
+    let mut config = scenario(23, 60, 0.2);
+    config.embed_against_surveyors_only = true;
+    let mut sim = vivaldi(config);
+    let assert_dedicated = |sim: &VivaldiSimulation, when: &str| {
+        for node in sim.normal_nodes() {
+            for &peer in sim.neighbors_of(node) {
+                assert!(
+                    sim.surveyors().contains(&peer),
+                    "{when}: normal node {node} embeds against non-Surveyor {peer}"
+                );
+            }
+        }
+    };
+    sim.set_eclipse(EclipsePlan::new(
+        sim.normal_nodes(),
+        sim.malicious().iter().copied(),
+        1.0,
+        23,
+    ));
+    assert_dedicated(&sim, "after set_eclipse");
+    sim.run_clean(5);
+    sim.calibrate_surveyors(&EmConfig::default());
+    sim.arm_detection();
+    let attack = vivaldi_attack(&sim);
+    sim.run(4, attack.as_ref(), false);
+    assert!(
+        sim.report().replacements > 0,
+        "some rejection must have asked for a replacement"
+    );
+    assert_dedicated(&sim, "after the attacked run");
 }
