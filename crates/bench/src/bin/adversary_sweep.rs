@@ -26,7 +26,9 @@ use std::process::ExitCode;
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: adversary_sweep [--scale test|harness|paper] [--seed N] [--no-json] [--smoke]");
+    eprintln!(
+        "usage: adversary_sweep [--scale test|harness|paper] [--seed N] [--no-json] [--smoke]"
+    );
     std::process::exit(2);
 }
 
@@ -40,7 +42,11 @@ fn parse_args() -> (HarnessOptions, bool) {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => scale_name = args.next().unwrap_or_else(|| usage("--scale needs a value")),
+            "--scale" => {
+                scale_name = args
+                    .next()
+                    .unwrap_or_else(|| usage("--scale needs a value"))
+            }
             "--seed" => {
                 let v = args.next().unwrap_or_else(|| usage("--seed needs a value"));
                 seed = Some(v.parse().unwrap_or_else(|_| usage("--seed must be a u64")));
@@ -102,8 +108,18 @@ fn row(cell: &AdversaryCell) {
 fn print_sweep(sweep: &AdversarySweep) {
     println!(
         "{:>10} {:>9} {:>7} | {:>7} {:>7} | {:>8} {:>8} {:>8} | {:>6} {:>6} {:>7} {:>6}",
-        "attack", "intensity", "defense", "TPR", "FPR", "med err", "p95 err", "degrade", "lies",
-        "checks", "rejects", "repl"
+        "attack",
+        "intensity",
+        "defense",
+        "TPR",
+        "FPR",
+        "med err",
+        "p95 err",
+        "degrade",
+        "lies",
+        "checks",
+        "rejects",
+        "repl"
     );
     for cell in &sweep.cells {
         row(cell);

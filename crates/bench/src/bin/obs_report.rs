@@ -140,7 +140,10 @@ fn render(run: &RunJournal) {
     if !run.phases.is_empty() {
         println!("phases:");
         for p in &run.phases {
-            println!("  {:>12}  ends t={:<8} spans {} ticks", p.name, p.t, p.ticks);
+            println!(
+                "  {:>12}  ends t={:<8} spans {} ticks",
+                p.name, p.t, p.ticks
+            );
         }
     }
     if !run.event_counts.is_empty() {

@@ -18,12 +18,12 @@
 //! can panic the daemon (see `crates/core/tests/wire_prop.rs` and the
 //! loopback suite).
 
+use ices_coord::{Coordinate, Embedding, PeerSample, StepOutcome};
 use ices_core::wire::{self, decode, encode, Disposition, Message};
 use ices_core::{
     vet_sequences, Certifier, CoordinateCertificate, DetectorBank, SecureNode, SecureStep,
     SecurityConfig, SurveyorInfo, SurveyorRegistry, VetEvent,
 };
-use ices_coord::{Coordinate, Embedding, PeerSample, StepOutcome};
 use ices_obs::{names, Clock, CounterId, Journal, Registry, Snapshot};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
@@ -270,10 +270,7 @@ impl ServiceCore {
             Message::ProbeRequest { nonce } => {
                 self.registry.inc(self.counters.probes);
                 let certificate = self.self_certificate(now);
-                let local_error = self
-                    .node
-                    .as_ref()
-                    .map_or(0.0, |n| n.inner().local_error());
+                let local_error = self.node.as_ref().map_or(0.0, |n| n.inner().local_error());
                 Some(Message::ProbeReply {
                     nonce,
                     coordinate: self.coordinate.clone(),

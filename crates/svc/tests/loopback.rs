@@ -11,9 +11,9 @@
 // loudly with their cause, exactly what expect() is for.
 #![allow(clippy::expect_used)]
 
+use ices_coord::Coordinate;
 use ices_core::wire::{self, decode, encode, Disposition, Message, MAX_DATAGRAM};
 use ices_core::{CoordinateCertificate, StateSpaceParams};
-use ices_coord::Coordinate;
 use ices_svc::{client_claim, ClientPlan, Daemon, ServiceConfig};
 use std::net::UdpSocket;
 use std::time::Duration;
@@ -113,8 +113,8 @@ fn malformed_datagrams_get_typed_errors_and_the_daemon_survives() {
         ("garbage", (0..64u8).map(|i| i.wrapping_mul(37)).collect()),
     ];
     for (name, bytes) in cases {
-        let reply = send_raw(&sock, &addr, bytes)
-            .unwrap_or_else(|| panic!("{name}: daemon sent no reply"));
+        let reply =
+            send_raw(&sock, &addr, bytes).unwrap_or_else(|| panic!("{name}: daemon sent no reply"));
         match reply {
             Message::Error { code } => assert!(code > 0, "{name}: error code must be set"),
             other => panic!("{name}: expected typed error, got {other:?}"),
@@ -159,7 +159,11 @@ fn full_protocol_round_trip_over_loopback() {
         },
     );
     match reply {
-        Message::CalibrationReply { surveyor, params: p, .. } => {
+        Message::CalibrationReply {
+            surveyor,
+            params: p,
+            ..
+        } => {
             assert_eq!(surveyor, 3);
             assert_eq!(p, params());
         }
