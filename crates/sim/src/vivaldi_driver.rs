@@ -450,8 +450,8 @@ impl VivaldiSimulation {
     /// victims are ignored — their §3.3 isolation invariant (Surveyors
     /// embed only among themselves) outranks the poisoning model — and
     /// so is every victim of a surveyor-only scenario, whose §6 promise
-    /// is the same: the guard of [`Self::replace_neighbor`]. The empty
-    /// plan is a bit-identical no-op.
+    /// `replace_neighbor` keeps the same way. The empty plan is a
+    /// bit-identical no-op.
     pub fn set_eclipse(&mut self, plan: EclipsePlan) {
         for node in 0..self.len() {
             if self.surveyors.contains(&node)
