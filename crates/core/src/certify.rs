@@ -28,8 +28,8 @@
 use crate::surveyor::SurveyorInfo;
 use ices_coord::Coordinate;
 use ices_stats::rng::splitmix64;
-use serde::{Deserialize, Serialize};
 use ices_stats::streams;
+use serde::{Deserialize, Serialize};
 
 /// A time-bounded, authenticated coordinate claim.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -181,11 +181,7 @@ impl Certifier {
     }
 
     /// Verify a certificate's tag and freshness.
-    pub fn verify(
-        &self,
-        cert: &CoordinateCertificate,
-        now: u64,
-    ) -> Result<(), CertificateError> {
+    pub fn verify(&self, cert: &CoordinateCertificate, now: u64) -> Result<(), CertificateError> {
         if cert.tag != self.tag_of(cert) || cert.issuer != self.issuer {
             return Err(CertificateError::BadTag);
         }

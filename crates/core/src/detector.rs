@@ -178,7 +178,8 @@ impl Detector {
     /// # Panics
     /// Panics if `alpha` is outside `(0, 1)`.
     pub fn threshold_at(&self, alpha: f64) -> f64 {
-        self.try_threshold_at(alpha).unwrap_or_else(|e| panic!("{e}"))
+        self.try_threshold_at(alpha)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Evaluate a measured relative error *without* updating the filter,
@@ -199,7 +200,8 @@ impl Detector {
     /// # Panics
     /// Panics on a non-finite observation.
     pub fn evaluate(&self, observation: f64) -> Verdict {
-        self.try_evaluate(observation).unwrap_or_else(|e| panic!("{e}"))
+        self.try_evaluate(observation)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The test body, after the observation has been checked finite.
@@ -544,7 +546,9 @@ mod tests {
         bad.beta = 1.5;
         assert!(matches!(
             Detector::try_new(bad, 0.05),
-            Err(DetectorError::InvalidParams(ModelError::NonStationaryBeta(_)))
+            Err(DetectorError::InvalidParams(ModelError::NonStationaryBeta(
+                _
+            )))
         ));
         let d = Detector::new(params(), 0.05);
         assert_eq!(

@@ -107,7 +107,12 @@ impl KalmanFilter {
     /// `(estimate, variance, updates, outside_streak)`. Crate-private:
     /// only `crate::batch` flattens filters into SoA columns.
     pub(crate) fn raw_state(&self) -> (f64, f64, u64, u32) {
-        (self.estimate, self.variance, self.updates, self.outside_streak)
+        (
+            self.estimate,
+            self.variance,
+            self.updates,
+            self.outside_streak,
+        )
     }
 
     /// Scatter the batched kernel's column back into this filter. The

@@ -45,7 +45,7 @@ pub mod surveyor;
 pub mod wire;
 
 pub use batch::DetectorBank;
-pub use certify::{Certifier, CertificateError, CoordinateCertificate};
+pub use certify::{CertificateError, Certifier, CoordinateCertificate};
 pub use detector::{Detector, DetectorError, Outlook, Verdict, SAMPLE_STARVATION_LIMIT};
 pub use em::{calibrate, CalibrationOutcome, EmConfig};
 pub use kalman::KalmanFilter;

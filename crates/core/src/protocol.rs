@@ -493,9 +493,15 @@ pub fn vet_sequences<E: Embedding>(
     let mut scratch = std::mem::take(&mut bank.columns);
     #[allow(clippy::needless_range_loop)] // k cursors jagged per-node sequences, not one slice
     for k in 0..columns {
-        vet_column(bank, nodes, |i| events[i].get(k), &mut scratch, |i, step| {
-            sink(i, k, step);
-        });
+        vet_column(
+            bank,
+            nodes,
+            |i| events[i].get(k),
+            &mut scratch,
+            |i, step| {
+                sink(i, k, step);
+            },
+        );
     }
     bank.columns = scratch;
     for (i, node) in nodes.iter_mut().enumerate() {
@@ -818,7 +824,9 @@ mod tests {
                 .collect();
             let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
             let mut batched_steps = vec![None; n];
-            vet_single(&mut bank, &mut refs, &events, |i, step| batched_steps[i] = Some(step));
+            vet_single(&mut bank, &mut refs, &events, |i, step| {
+                batched_steps[i] = Some(step)
+            });
             assert_eq!(scalar_steps, batched_steps, "tick {tick}");
         }
         for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {

@@ -286,7 +286,8 @@ mod tests {
         reg.register(info(2, 50.0));
         let me = Coordinate::new(vec![60.0, 0.0], 0.0);
         assert!(
-            reg.closest_available_by_coordinate(&me, |_| false).is_none(),
+            reg.closest_available_by_coordinate(&me, |_| false)
+                .is_none(),
             "a total Surveyor outage must surface as None, not a panic"
         );
     }

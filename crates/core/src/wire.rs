@@ -473,10 +473,7 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let bytes: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| WireError::Truncated)?;
+        let bytes: [u8; 8] = self.take(8)?.try_into().map_err(|_| WireError::Truncated)?;
         Ok(u64::from_le_bytes(bytes))
     }
 
@@ -799,7 +796,10 @@ mod tests {
     #[test]
     fn version_tag_and_size_are_policed() {
         assert_eq!(decode(&[]), Err(WireError::Truncated));
-        assert_eq!(decode(&[9, 1, 0, 0, 0, 0, 0, 0, 0, 0]), Err(WireError::BadVersion(9)));
+        assert_eq!(
+            decode(&[9, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+            Err(WireError::BadVersion(9))
+        );
         assert_eq!(decode(&[WIRE_VERSION, 200]), Err(WireError::BadTag(200)));
         let huge = vec![0u8; MAX_DATAGRAM + 1];
         assert_eq!(decode(&huge), Err(WireError::Oversized));
@@ -807,7 +807,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = encode(&Message::ProbeRequest { nonce: 1 }).unwrap_or_else(|e| panic!("{e}"));
+        let mut bytes =
+            encode(&Message::ProbeRequest { nonce: 1 }).unwrap_or_else(|e| panic!("{e}"));
         bytes.push(0);
         assert_eq!(decode(&bytes), Err(WireError::TrailingBytes));
     }
@@ -869,7 +870,9 @@ mod tests {
     #[test]
     fn stats_reply_caps_are_enforced() {
         let too_many = Message::StatsReply {
-            counters: (0..MAX_COUNTERS + 1).map(|i| (format!("c{i}"), 0)).collect(),
+            counters: (0..MAX_COUNTERS + 1)
+                .map(|i| (format!("c{i}"), 0))
+                .collect(),
         };
         assert_eq!(encode(&too_many), Err(WireError::BadLength));
         let long_name = Message::StatsReply {

@@ -8,12 +8,12 @@ use proptest::prelude::*;
 /// Strategy for valid state-space parameters.
 fn params_strategy() -> impl Strategy<Value = StateSpaceParams> {
     (
-        -0.95f64..0.95,   // beta
-        1e-5f64..0.05,    // v_w
-        1e-5f64..0.05,    // v_u
-        -0.1f64..0.2,     // w_bar
-        0.0f64..1.0,      // w0
-        1e-4f64..0.5,     // p0
+        -0.95f64..0.95, // beta
+        1e-5f64..0.05,  // v_w
+        1e-5f64..0.05,  // v_u
+        -0.1f64..0.2,   // w_bar
+        0.0f64..1.0,    // w0
+        1e-4f64..0.5,   // p0
     )
         .prop_map(|(beta, v_w, v_u, w_bar, w0, p0)| StateSpaceParams {
             beta,

@@ -6,9 +6,11 @@
 //! panics. The daemon feeds every received datagram through `decode`,
 //! so this suite is the fuzz harness for its attack surface.
 
-use ices_core::wire::{decode, encode, Disposition, Message, WireError, MAX_DATAGRAM, WIRE_VERSION};
-use ices_core::{CoordinateCertificate, StateSpaceParams};
 use ices_coord::Coordinate;
+use ices_core::wire::{
+    decode, encode, Disposition, Message, WireError, MAX_DATAGRAM, WIRE_VERSION,
+};
+use ices_core::{CoordinateCertificate, StateSpaceParams};
 use proptest::prelude::*;
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -184,7 +186,11 @@ fn selector_space_covers_every_variant() {
             Message::Error { .. } => "Error",
         })
         .collect();
-    assert_eq!(names.len(), 12, "a Message variant is unreachable: {names:?}");
+    assert_eq!(
+        names.len(),
+        12,
+        "a Message variant is unreachable: {names:?}"
+    );
 }
 
 proptest! {
