@@ -19,6 +19,13 @@ fn params() -> StateSpaceParams {
     }
 }
 
+fn detector() -> Detector {
+    match Detector::new(params(), 0.05) {
+        Ok(d) => d,
+        Err(e) => panic!("the bench parameters are valid: {e}"),
+    }
+}
+
 fn bench_detection(c: &mut Criterion) {
     let mut group = c.benchmark_group("detection");
 
@@ -27,13 +34,13 @@ fn bench_detection(c: &mut Criterion) {
     });
 
     group.bench_function("evaluate", |b| {
-        let d = Detector::new(params(), 0.05);
+        let d = detector();
         b.iter(|| black_box(d.evaluate(black_box(0.4))));
     });
 
     group.bench_function("assess_accept", |b| {
         b.iter_batched_ref(
-            || Detector::new(params(), 0.05),
+            detector,
             |d| black_box(d.assess(black_box(0.16))),
             BatchSize::SmallInput,
         );
@@ -41,7 +48,7 @@ fn bench_detection(c: &mut Criterion) {
 
     group.bench_function("assess_reject", |b| {
         b.iter_batched_ref(
-            || Detector::new(params(), 0.05),
+            detector,
             |d| black_box(d.assess(black_box(50.0))),
             BatchSize::SmallInput,
         );
@@ -67,21 +74,22 @@ fn observation(sweep: usize, slot: usize) -> f64 {
 
 /// One classification sweep (predict, evaluate, accept or coast) over
 /// 1,740 slots, as a scalar loop over per-peer `Detector`s and as the
-/// `DetectorBank` column kernels the drivers run. Both run the same FP
+/// `DetectorBank` column kernels the drivers run (one verdict buffer
+/// reused across sweeps, as in the vetting sweeps). Both run the same FP
 /// operations in the same order; `bank_matches_scalar_detectors_bitwise`
 /// pins that they agree bit for bit.
 fn bench_bank_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("detection");
 
     group.bench_function("sweep_1740_scalar", |b| {
-        let mut detectors = vec![Detector::new(params(), 0.05); SLOTS];
+        let mut detectors = vec![detector(); SLOTS];
         let mut sweep = 0;
         b.iter(|| {
             sweep += 1;
             let mut suspicious = 0u32;
             for (slot, det) in detectors.iter_mut().enumerate() {
                 let obs = observation(sweep, slot);
-                if det.evaluate(obs).suspicious {
+                if det.evaluate(obs).is_ok_and(|v| v.suspicious) {
                     suspicious += 1;
                     det.coast();
                 } else {
@@ -93,12 +101,13 @@ fn bench_bank_sweep(c: &mut Criterion) {
     });
 
     group.bench_function("sweep_1740_bank", |b| {
-        let proto = Detector::new(params(), 0.05);
+        let proto = detector();
         let mut bank = DetectorBank::new();
         for _ in 0..SLOTS {
             bank.push(&proto);
         }
         let mut obs = vec![0.0; SLOTS];
+        let mut verdicts = Vec::with_capacity(SLOTS);
         let active = vec![true; SLOTS];
         let mut accept = vec![false; SLOTS];
         let mut coast = vec![false; SLOTS];
@@ -109,7 +118,7 @@ fn bench_bank_sweep(c: &mut Criterion) {
                 *o = observation(sweep, slot);
             }
             bank.predict_all();
-            let verdicts = bank.evaluate_all(&obs, &active);
+            bank.evaluate_into(&obs, &active, &mut verdicts);
             let mut suspicious = 0u32;
             for (slot, verdict) in verdicts.iter().enumerate() {
                 let bad = verdict.is_some_and(|v| v.suspicious);

@@ -1,11 +1,12 @@
 //! Benchmarks of the embedding substrates: a Vivaldi spring update, an
 //! NPS downhill-simplex repositioning, and a full secured embedding step
-//! (detection + Vivaldi update) — the end-to-end per-step cost of the
-//! paper's protocol.
+//! (detection + Vivaldi update, vetted by the production sweep on a
+//! one-node slice) — the end-to-end per-step cost of the paper's
+//! protocol.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ices_coord::{Coordinate, Embedding, PeerSample};
-use ices_core::{SecureNode, SecurityConfig, StateSpaceParams};
+use ices_core::{vet_single, DetectorBank, SecureNode, SecurityConfig, StateSpaceParams, VetEvent};
 use ices_nps::{NpsConfig, NpsNode};
 use ices_vivaldi::{VivaldiConfig, VivaldiNode};
 use std::hint::black_box;
@@ -48,10 +49,20 @@ fn bench_embedding(c: &mut Criterion) {
         ) else {
             panic!("the paper's security config is valid");
         };
+        // The bank persists across steps, as in the drivers.
+        let mut bank = DetectorBank::new();
         let mut i = 0usize;
         b.iter(|| {
             i += 1;
-            black_box(node.step(black_box(&vivaldi_sample(i))))
+            let events = [VetEvent::Sample(vivaldi_sample(i))];
+            vet_single(
+                &mut bank,
+                &mut [&mut node],
+                black_box(&events),
+                |_, step| {
+                    black_box(step);
+                },
+            );
         });
     });
 

@@ -16,17 +16,24 @@ fn params() -> StateSpaceParams {
     }
 }
 
+fn filter() -> KalmanFilter {
+    match KalmanFilter::new(params()) {
+        Ok(filter) => filter,
+        Err(e) => panic!("the bench parameters are valid: {e}"),
+    }
+}
+
 fn bench_kalman(c: &mut Criterion) {
     let mut group = c.benchmark_group("kalman");
 
     group.bench_function("predict", |b| {
-        let filter = KalmanFilter::new(params());
+        let filter = filter();
         b.iter(|| black_box(filter.predict()));
     });
 
     group.bench_function("update", |b| {
         b.iter_batched_ref(
-            || KalmanFilter::new(params()),
+            filter,
             |filter| black_box(filter.update(black_box(0.31))),
             BatchSize::SmallInput,
         );

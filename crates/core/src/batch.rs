@@ -5,7 +5,7 @@
 //! peer — an embarrassingly data-parallel sweep. [`DetectorBank`]
 //! flattens a set of [`Detector`]s into structure-of-arrays columns
 //! (`estimate`, `variance`, band/coast run counters) and exposes the
-//! four sweep kernels `predict_all` / `evaluate_all` / `accept_all` /
+//! four sweep kernels `predict_all` / `evaluate_into` / `accept_all` /
 //! `coast_all`, each one flat pass over `&[f64]` replacing N individual
 //! `Detector` calls.
 //!
@@ -16,7 +16,7 @@
 //! [`Detector`]/[`KalmanFilter`] methods it replaces:
 //!
 //! * `predict_all` is [`KalmanFilter::predict`] per slot;
-//! * `evaluate_all` is [`Detector::evaluate`] with the slot's
+//! * `evaluate_into` is [`Detector::evaluate`] with the slot's
 //!   `Q⁻¹(α/2)` factor **cached** — `q_inverse` is a pure function, so
 //!   memoizing it per slot (and per distinct `α` at gather time) yields
 //!   the identical product `√v_η · Q⁻¹(α/2)` while skipping the
@@ -31,11 +31,12 @@
 //! truth: callers gather detectors with [`DetectorBank::push`], run
 //! sweeps, and scatter the state back with [`DetectorBank::store`]. The
 //! scalar `Detector` inside each `SecureNode` remains the single
-//! serialized, API-visible state.
+//! serialized, API-visible state. Parameters never change inside the
+//! bank: a recalibration happens on the `Detector` between sweeps
+//! (`SecureNode::refresh_filter`), and the next sweep pushes it again.
 
-use crate::detector::{Detector, Verdict, SAMPLE_STARVATION_LIMIT};
-use crate::kalman::{RECALIBRATION_BAND, RECALIBRATION_STREAK};
-use crate::model::StateSpaceParams;
+use crate::detector::{Detector, Verdict};
+use crate::kalman::RECALIBRATION_BAND;
 use crate::protocol::ColumnScratch;
 use ices_stats::q_inverse;
 
@@ -48,13 +49,14 @@ use ices_stats::q_inverse;
 /// use ices_core::{Detector, StateSpaceParams};
 ///
 /// let params = StateSpaceParams::em_initial_guess();
-/// let mut detectors = vec![Detector::new(params, 0.05); 3];
+/// let mut detectors = vec![Detector::new(params, 0.05)?; 3];
 /// let mut bank = DetectorBank::new();
 /// for d in &detectors {
 ///     bank.push(d);
 /// }
 /// bank.predict_all();
-/// let verdicts = bank.evaluate_all(&[0.4, 0.5, 9.0], &[true, true, true]);
+/// let mut verdicts = Vec::new();
+/// bank.evaluate_into(&[0.4, 0.5, 9.0], &[true, true, true], &mut verdicts);
 /// let accept: Vec<bool> = verdicts
 ///     .iter()
 ///     .map(|v| v.map(|v| !v.suspicious).unwrap_or(false))
@@ -63,6 +65,7 @@ use ices_stats::q_inverse;
 /// for (slot, d) in detectors.iter_mut().enumerate() {
 ///     bank.store(slot, d);
 /// }
+/// # Ok::<(), ices_core::DetectorError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DetectorBank {
@@ -71,10 +74,7 @@ pub struct DetectorBank {
     w_bar: Vec<f64>,
     v_w: Vec<f64>,
     v_u: Vec<f64>,
-    /// Full parameter vectors, for recalibration and scatter.
-    params: Vec<StateSpaceParams>,
-    /// Per-slot significance level and its cached `Q⁻¹(α/2)`.
-    alpha: Vec<f64>,
+    /// Per-slot cached `Q⁻¹(α/2)` of the detector's significance level.
     q_half_alpha: Vec<f64>,
     // Filter state columns.
     estimate: Vec<f64>,
@@ -129,8 +129,6 @@ impl DetectorBank {
         self.w_bar.clear();
         self.v_w.clear();
         self.v_u.clear();
-        self.params.clear();
-        self.alpha.clear();
         self.q_half_alpha.clear();
         self.estimate.clear();
         self.variance.clear();
@@ -161,10 +159,7 @@ impl DetectorBank {
         self.w_bar.push(p.w_bar);
         self.v_w.push(p.v_w);
         self.v_u.push(p.v_u);
-        self.params.push(p);
-        let alpha = det.alpha();
-        self.alpha.push(alpha);
-        let q = self.q_for(alpha);
+        let q = self.q_for(det.alpha());
         self.q_half_alpha.push(q);
         self.estimate.push(estimate);
         self.variance.push(variance);
@@ -181,7 +176,7 @@ impl DetectorBank {
 
     /// One-step-ahead prediction for every slot, in one flat sweep —
     /// [`KalmanFilter::predict`] columnized. Must run before
-    /// `evaluate_all` / `accept_all` / `coast_all`, and again after any
+    /// `evaluate_into` / `accept_all` / `coast_all`, and again after any
     /// slot's state changes.
     pub fn predict_all(&mut self) {
         let n = self.len();
@@ -214,35 +209,24 @@ impl DetectorBank {
     }
 
     /// Evaluate one observation per active slot — [`Detector::evaluate`]
-    /// columnized, with the per-slot `Q⁻¹(α/2)` factor cached. Inactive
-    /// slots get `None` and their observation value is ignored. Does not
-    /// change any state.
+    /// columnized, with the per-slot `Q⁻¹(α/2)` factor cached — into
+    /// `out`, which is cleared first so a sweep that runs every tick
+    /// reuses one allocation. Inactive slots get `None` and their
+    /// observation value is ignored. Does not change any state.
     ///
     /// # Panics
     /// Panics if `predict_all` has not been (re-)run, on length
     /// mismatches, or on a non-finite observation for an active slot
-    /// (same contract as the scalar path).
-    pub fn evaluate_all(&self, observations: &[f64], active: &[bool]) -> Vec<Option<Verdict>> {
-        let mut out = Vec::with_capacity(self.len());
-        self.evaluate_into(observations, active, &mut out);
-        out
-    }
-
-    /// [`DetectorBank::evaluate_all`] into a caller-owned buffer, which
-    /// is cleared first: a sweep that runs every tick reuses one
-    /// allocation.
-    ///
-    /// # Panics
-    /// As [`DetectorBank::evaluate_all`].
+    /// (the scalar path's error, as a panic).
     pub fn evaluate_into(
         &self,
         observations: &[f64],
         active: &[bool],
         out: &mut Vec<Option<Verdict>>,
     ) {
-        self.assert_fresh("evaluate_all");
-        self.assert_aligned("evaluate_all", observations.len());
-        self.assert_aligned("evaluate_all", active.len());
+        self.assert_fresh("evaluate_into");
+        self.assert_aligned("evaluate_into", observations.len());
+        self.assert_aligned("evaluate_into", active.len());
         out.clear();
         for i in 0..self.len() {
             if !active[i] {
@@ -361,49 +345,12 @@ impl DetectorBank {
         self.innov_var[slot].sqrt() * q_inverse(alpha / 2.0)
     }
 
-    /// Whether a slot is sample-starved (see [`Detector::starved`]).
-    pub fn starved(&self, slot: usize) -> bool {
-        self.starvation_streak[slot] >= SAMPLE_STARVATION_LIMIT
-    }
-
-    /// Whether a slot has hit the recalibration condition
-    /// (see [`Detector::needs_recalibration`]).
-    pub fn needs_recalibration(&self, slot: usize) -> bool {
-        self.outside_streak[slot] >= RECALIBRATION_STREAK || self.starved(slot)
-    }
-
-    /// Install fresh parameters for one slot — [`Detector::recalibrate`]
-    /// columnized. The slot's significance level (and cached quantile)
-    /// is unchanged, exactly like the scalar path.
-    ///
-    /// # Panics
-    /// Panics if the parameters violate a model invariant.
-    pub fn recalibrate(&mut self, slot: usize, params: StateSpaceParams) {
-        if let Err(e) = params.check() {
-            panic!("{e}");
-        }
-        self.beta[slot] = params.beta;
-        self.w_bar[slot] = params.w_bar;
-        self.v_w[slot] = params.v_w;
-        self.v_u[slot] = params.v_u;
-        self.params[slot] = params;
-        self.estimate[slot] = params.w0;
-        self.variance[slot] = params.p0;
-        self.updates[slot] = 0;
-        self.outside_streak[slot] = 0;
-        self.starvation_streak[slot] = 0;
-        self.dirty[slot] = true;
-        self.predicted_fresh = false;
-    }
-
-    /// Scatter one slot's state back into a detector. The bank ran the
-    /// exact recursions, so the values written are bit-for-bit what the
-    /// scalar call sequence would have left behind.
+    /// Scatter one slot's state back into the detector it was pushed
+    /// from. The bank ran the exact recursions, so the values written
+    /// are bit-for-bit what the scalar call sequence would have left
+    /// behind. Only the state is written: the parameters and `α` are
+    /// the ones the detector already holds.
     pub fn store(&self, slot: usize, det: &mut Detector) {
-        // Reinstall parameters first (recalibrate resets state), then
-        // overwrite the state columns; covers both the plain and the
-        // mid-sequence-recalibrated case.
-        det.filter_mut().recalibrate(self.params[slot]);
         det.filter_mut().set_raw_state(
             self.estimate[slot],
             self.variance[slot],
@@ -417,6 +364,8 @@ impl DetectorBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::SAMPLE_STARVATION_LIMIT;
+    use crate::model::StateSpaceParams;
     use ices_stats::rng::stream_rng;
 
     fn params() -> StateSpaceParams {
@@ -430,29 +379,34 @@ mod tests {
         }
     }
 
+    fn detector(p: StateSpaceParams) -> Detector {
+        Detector::new(p, 0.05).unwrap()
+    }
+
     /// Drive N scalar detectors and one bank through the same
     /// accept/coast schedule and require bit-identical state throughout.
     #[test]
     fn bank_matches_scalar_detectors_bitwise() {
         let p = params();
         let n = 8;
-        let mut scalars: Vec<Detector> = (0..n).map(|_| Detector::new(p, 0.05)).collect();
+        let mut scalars: Vec<Detector> = (0..n).map(|_| detector(p)).collect();
         let mut bank = DetectorBank::new();
         for d in &scalars {
             bank.push(d);
         }
         let mut rng = stream_rng(40, 0);
         let traces: Vec<Vec<f64>> = (0..n).map(|_| p.simulate(50, &mut rng)).collect();
+        let mut verdicts = Vec::new();
         for step in 0..50 {
             let obs: Vec<f64> = traces.iter().map(|t| t[step]).collect();
             // Slot i coasts on steps where (step + i) % 5 == 0.
             let coast: Vec<bool> = (0..n).map(|i| (step + i) % 5 == 0).collect();
             let sample: Vec<bool> = coast.iter().map(|&c| !c).collect();
             bank.predict_all();
-            let verdicts = bank.evaluate_all(&obs, &sample);
+            bank.evaluate_into(&obs, &sample, &mut verdicts);
             let mut accept = vec![false; n];
             for i in 0..n {
-                let scalar_verdict = scalars[i].evaluate(obs[i]);
+                let scalar_verdict = scalars[i].evaluate(obs[i]).unwrap();
                 if coast[i] {
                     scalars[i].coast();
                     continue;
@@ -470,7 +424,7 @@ mod tests {
             bank.coast_all(&coast);
         }
         for (i, scalar) in scalars.iter_mut().enumerate() {
-            let mut out = Detector::new(p, 0.05);
+            let mut out = detector(p);
             bank.store(i, &mut out);
             assert_eq!(&out, scalar, "slot {i} diverged");
         }
@@ -479,7 +433,7 @@ mod tests {
     #[test]
     fn threshold_at_matches_scalar_reprieve_path() {
         let p = params();
-        let mut scalar = Detector::new(p, 0.05);
+        let mut scalar = detector(p);
         for obs in [0.31, 0.27, 0.4] {
             scalar.accept(obs);
         }
@@ -489,55 +443,35 @@ mod tests {
         for alpha2 in [1e-9, 0.0005, 0.025, 0.3] {
             assert_eq!(
                 bank.threshold_at(0, alpha2).to_bits(),
-                scalar.threshold_at(alpha2).to_bits()
+                scalar.threshold_at(alpha2).unwrap().to_bits()
             );
         }
     }
 
+    /// The starvation streak travels through `store`, so the node's
+    /// round end sees a starvation that built up inside bank sweeps.
     #[test]
-    fn recalibrate_matches_scalar_and_store_roundtrips() {
+    fn starvation_built_in_the_bank_reaches_the_detector() {
         let p = params();
-        let mut scalar = Detector::new(p, 0.05);
+        let mut scalar = detector(p);
+        let mut banked = scalar.clone();
         let mut bank = DetectorBank::new();
-        bank.push(&scalar);
-        // Accumulate some streaks, then recalibrate both sides.
-        bank.predict_all();
-        bank.accept_all(&[5.0], &[true]);
-        scalar.accept(5.0);
-        let mut fresh = p;
-        fresh.w0 = 0.45;
-        bank.recalibrate(0, fresh);
-        scalar.recalibrate(fresh);
-        bank.predict_all();
-        bank.coast_all(&[true]);
-        scalar.coast();
-        let mut out = Detector::new(p, 0.05);
-        bank.store(0, &mut out);
-        assert_eq!(out, scalar);
-        assert_eq!(out.filter().params(), &fresh);
-    }
-
-    #[test]
-    fn starvation_and_recalibration_signals_match_scalar() {
-        let p = params();
-        let mut scalar = Detector::new(p, 0.05);
-        let mut bank = DetectorBank::new();
-        bank.push(&scalar);
         for _ in 0..SAMPLE_STARVATION_LIMIT {
+            bank.clear();
+            bank.push(&banked);
             bank.predict_all();
             bank.coast_all(&[true]);
+            bank.store(0, &mut banked);
             scalar.coast();
         }
-        assert!(bank.starved(0));
-        assert!(bank.needs_recalibration(0));
-        assert_eq!(bank.starved(0), scalar.starved());
-        assert_eq!(bank.needs_recalibration(0), scalar.needs_recalibration());
+        assert!(banked.starved());
+        assert_eq!(banked, scalar);
     }
 
     #[test]
     fn clear_keeps_capacity_and_quantile_memo() {
         let p = params();
-        let d = Detector::new(p, 0.05);
+        let d = detector(p);
         let mut bank = DetectorBank::new();
         bank.push(&d);
         let q = bank.q_half_alpha[0];
@@ -555,20 +489,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires predict_all")]
     fn evaluate_without_predict_panics() {
-        let d = Detector::new(params(), 0.05);
+        let d = detector(params());
         let mut bank = DetectorBank::new();
         bank.push(&d);
-        let _ = bank.evaluate_all(&[0.3], &[true]);
+        bank.evaluate_into(&[0.3], &[true], &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "observation must be finite")]
     fn evaluate_rejects_non_finite_active_observation() {
-        let d = Detector::new(params(), 0.05);
+        let d = detector(params());
         let mut bank = DetectorBank::new();
         bank.push(&d);
         bank.predict_all();
-        let _ = bank.evaluate_all(&[f64::NAN], &[true]);
+        bank.evaluate_into(&[f64::NAN], &[true], &mut Vec::new());
     }
 
     mod interleavings {
@@ -598,9 +532,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// Satellite: over random sample/missing/recalibrate
-            /// interleavings, the bank leaves every detector bit-for-bit
-            /// (`to_bits`) where the scalar call sequence leaves it.
+            /// Over random sample/missing/recalibrate interleavings, a
+            /// push → sweep → store round trip per step (the protocol's
+            /// shape) leaves every detector bit-for-bit (`to_bits`)
+            /// where the scalar call sequence leaves it.
             #[test]
             fn bank_is_bit_identical_over_random_interleavings(
                 schedule in proptest::collection::vec(
@@ -609,21 +544,20 @@ mod tests {
                 let p = params();
                 let n = schedule.len();
                 let steps = schedule.iter().map(Vec::len).max().unwrap_or(0);
-                let mut scalars: Vec<Detector> =
-                    (0..n).map(|_| Detector::new(p, 0.05)).collect();
+                let mut scalars: Vec<Detector> = (0..n).map(|_| detector(p)).collect();
+                let mut banked = scalars.clone();
                 let mut bank = DetectorBank::new();
-                for d in &scalars {
-                    bank.push(d);
-                }
+                let mut verdicts = Vec::new();
                 for step in 0..steps {
-                    // Recalibrations happen between sweeps, as in the
-                    // protocol (end_round → refresh_filter).
+                    // Recalibrations happen on the detectors between
+                    // sweeps, as in the protocol (end_round →
+                    // refresh_filter).
                     for i in 0..n {
                         if let Some(Op::Recalibrate(w0)) = schedule[i].get(step) {
                             let mut fresh = p;
                             fresh.w0 = *w0;
-                            bank.recalibrate(i, fresh);
-                            scalars[i].recalibrate(fresh);
+                            banked[i].recalibrate(fresh).unwrap();
+                            scalars[i].recalibrate(fresh).unwrap();
                         }
                     }
                     let mut obs = vec![0.0f64; n];
@@ -639,14 +573,18 @@ mod tests {
                             _ => {}
                         }
                     }
+                    bank.clear();
+                    for d in &banked {
+                        bank.push(d);
+                    }
                     bank.predict_all();
-                    let verdicts = bank.evaluate_all(&obs, &active);
+                    bank.evaluate_into(&obs, &active, &mut verdicts);
                     let mut accept = vec![false; n];
                     for i in 0..n {
                         if !active[i] {
                             continue;
                         }
-                        let scalar_verdict = scalars[i].evaluate(obs[i]);
+                        let scalar_verdict = scalars[i].evaluate(obs[i]).unwrap();
                         let v = verdicts[i].expect("active slot");
                         prop_assert_eq!(
                             v.innovation.to_bits(),
@@ -669,11 +607,12 @@ mod tests {
                     }
                     bank.accept_all(&obs, &accept);
                     bank.coast_all(&coast);
+                    for (i, d) in banked.iter_mut().enumerate() {
+                        bank.store(i, d);
+                    }
                 }
-                for (i, scalar) in scalars.iter().enumerate() {
-                    let mut out = Detector::new(p, 0.05);
-                    bank.store(i, &mut out);
-                    prop_assert_eq!(&out, scalar, "slot {} diverged", i);
+                for (i, (b, scalar)) in banked.iter().zip(&scalars).enumerate() {
+                    prop_assert_eq!(b, scalar, "slot {} diverged", i);
                 }
             }
         }
@@ -681,12 +620,13 @@ mod tests {
 
     #[test]
     fn inactive_slots_ignore_their_observation_value() {
-        let d = Detector::new(params(), 0.05);
+        let d = detector(params());
         let mut bank = DetectorBank::new();
         bank.push(&d);
         bank.push(&d);
         bank.predict_all();
-        let verdicts = bank.evaluate_all(&[f64::NAN, 0.3], &[false, true]);
+        let mut verdicts = Vec::new();
+        bank.evaluate_into(&[f64::NAN, 0.3], &[false, true], &mut verdicts);
         assert!(verdicts[0].is_none());
         assert!(verdicts[1].is_some());
     }

@@ -25,7 +25,6 @@
 //! only against its modeled adversaries, not against cryptanalysis; a
 //! deployment would swap in HMAC-SHA256 behind the same interface.
 
-use crate::surveyor::SurveyorInfo;
 use ices_coord::Coordinate;
 use ices_stats::rng::splitmix64;
 use ices_stats::streams;
@@ -113,7 +112,7 @@ impl Certifier {
     /// and vouching only for coordinates within `tolerance` relative
     /// error of its own measurement. Rejects a zero `ttl` or a
     /// non-positive `tolerance` with a typed error.
-    pub fn try_new(
+    pub fn new(
         issuer: usize,
         key: u64,
         ttl: u64,
@@ -132,21 +131,6 @@ impl Certifier {
             ttl,
             tolerance,
         })
-    }
-
-    /// [`Certifier::try_new`] for contexts that cannot propagate the
-    /// error.
-    ///
-    /// # Panics
-    /// Panics if `ttl` is zero or `tolerance` is not positive.
-    pub fn new(issuer: usize, key: u64, ttl: u64, tolerance: f64) -> Self {
-        Self::try_new(issuer, key, ttl, tolerance).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Convenience constructor taking the issuer's published
-    /// [`SurveyorInfo`].
-    pub fn for_surveyor(info: &SurveyorInfo, key: u64, ttl: u64, tolerance: f64) -> Self {
-        Self::new(info.id, key, ttl, tolerance)
     }
 
     /// Issue a certificate for `node`'s claimed coordinate — but only
@@ -217,7 +201,7 @@ mod tests {
     use ices_coord::Space;
 
     fn setup() -> (Certifier, Coordinate, Coordinate) {
-        let certifier = Certifier::new(7, 0xBEEF, 100, 0.3);
+        let certifier = Certifier::new(7, 0xBEEF, 100, 0.3).expect("valid certifier");
         let issuer_coord = Coordinate::new(vec![0.0, 0.0], 2.0);
         let node_coord = Coordinate::new(vec![30.0, 40.0], 3.0);
         (certifier, issuer_coord, node_coord)
@@ -295,7 +279,7 @@ mod tests {
     #[test]
     fn different_keys_do_not_cross_verify() {
         let (certifier, issuer_coord, node_coord) = setup();
-        let other = Certifier::new(7, 0xDEAD, 100, 0.3);
+        let other = Certifier::new(7, 0xDEAD, 100, 0.3).expect("valid certifier");
         let cert = certifier
             .issue(42, &node_coord, &issuer_coord, 55.0, 1000)
             .expect("certifies");
@@ -319,16 +303,16 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_typed_errors() {
+    fn new_reports_typed_errors() {
         assert_eq!(
-            Certifier::try_new(7, 0xBEEF, 0, 0.3).err(),
+            Certifier::new(7, 0xBEEF, 0, 0.3).err(),
             Some(CertificateError::ZeroTtl)
         );
         assert_eq!(
-            Certifier::try_new(7, 0xBEEF, 100, 0.0).err(),
+            Certifier::new(7, 0xBEEF, 100, 0.0).err(),
             Some(CertificateError::NonPositiveTolerance(0.0))
         );
-        assert!(Certifier::try_new(7, 0xBEEF, 100, 0.3).is_ok());
+        assert!(Certifier::new(7, 0xBEEF, 100, 0.3).is_ok());
     }
 
     #[test]

@@ -102,26 +102,16 @@ pub struct Detector {
 impl Detector {
     /// Build a detector from calibrated parameters and a significance
     /// level `α ∈ (0, 1)` (the paper settles on 5%), rejecting invalid
-    /// inputs with a typed error instead of panicking.
-    pub fn try_new(params: StateSpaceParams, alpha: f64) -> Result<Self, DetectorError> {
+    /// inputs with a typed error.
+    pub fn new(params: StateSpaceParams, alpha: f64) -> Result<Self, DetectorError> {
         if !(alpha > 0.0 && alpha < 1.0) {
             return Err(DetectorError::InvalidAlpha(alpha));
         }
         Ok(Self {
-            filter: KalmanFilter::try_new(params)?,
+            filter: KalmanFilter::new(params)?,
             alpha,
             starvation_streak: 0,
         })
-    }
-
-    /// [`Detector::try_new`] for contexts that cannot propagate the
-    /// error (the long-standing public constructor).
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1)` or the parameters are
-    /// invalid.
-    pub fn new(params: StateSpaceParams, alpha: f64) -> Self {
-        Self::try_new(params, alpha).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The configured significance level.
@@ -164,7 +154,7 @@ impl Detector {
     /// current prediction state (used by the reprieve mechanism, which
     /// re-tests at level `e_l·α`), rejecting an out-of-range level with
     /// a typed error.
-    pub fn try_threshold_at(&self, alpha: f64) -> Result<f64, DetectorError> {
+    pub fn threshold_at(&self, alpha: f64) -> Result<f64, DetectorError> {
         if !(alpha > 0.0 && alpha < 1.0) {
             return Err(DetectorError::InvalidAlpha(alpha));
         }
@@ -172,50 +162,25 @@ impl Detector {
         Ok(pred.innovation_variance.sqrt() * q_inverse(alpha / 2.0))
     }
 
-    /// [`Detector::try_threshold_at`] for contexts that cannot propagate
-    /// the error.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1)`.
-    pub fn threshold_at(&self, alpha: f64) -> f64 {
-        self.try_threshold_at(alpha)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Evaluate a measured relative error *without* updating the filter,
     /// rejecting a non-finite observation with a typed error.
     ///
     /// Exposed separately so the reprieve logic can inspect a verdict,
     /// apply a second test, and only then decide whether to accept.
-    pub fn try_evaluate(&self, observation: f64) -> Result<Verdict, DetectorError> {
+    pub fn evaluate(&self, observation: f64) -> Result<Verdict, DetectorError> {
         if !observation.is_finite() {
             return Err(DetectorError::NonFiniteObservation(observation));
         }
-        Ok(self.evaluate_finite(observation))
-    }
-
-    /// [`Detector::try_evaluate`] for contexts that cannot propagate the
-    /// error.
-    ///
-    /// # Panics
-    /// Panics on a non-finite observation.
-    pub fn evaluate(&self, observation: f64) -> Verdict {
-        self.try_evaluate(observation)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The test body, after the observation has been checked finite.
-    fn evaluate_finite(&self, observation: f64) -> Verdict {
         let pred = self.filter.predict();
         let innovation = observation - pred.predicted;
         let threshold = pred.innovation_variance.sqrt() * q_inverse(self.alpha / 2.0);
-        Verdict {
+        Ok(Verdict {
             suspicious: innovation.abs() >= threshold,
             innovation,
             threshold,
             predicted: pred.predicted,
             innovation_variance: pred.innovation_variance,
-        }
+        })
     }
 
     /// Accept an observation: incorporate `D_n` into the filter state.
@@ -252,12 +217,12 @@ impl Detector {
 
     /// Test-and-update in one call: evaluates, and feeds the filter only
     /// if the step is *not* suspicious.
-    pub fn assess(&mut self, observation: f64) -> Verdict {
-        let verdict = self.evaluate(observation);
+    pub fn assess(&mut self, observation: f64) -> Result<Verdict, DetectorError> {
+        let verdict = self.evaluate(observation)?;
         if !verdict.suspicious {
             self.accept(observation);
         }
-        verdict
+        Ok(verdict)
     }
 
     /// Whether the filter has hit the paper's recalibration condition,
@@ -267,10 +232,12 @@ impl Detector {
     }
 
     /// Install freshly calibrated parameters (from a Surveyor). Clears
-    /// the starvation streak along with the filter state.
-    pub fn recalibrate(&mut self, params: StateSpaceParams) {
-        self.filter.recalibrate(params);
+    /// the starvation streak along with the filter state; invalid
+    /// parameters are refused and leave the detector as it was.
+    pub fn recalibrate(&mut self, params: StateSpaceParams) -> Result<(), ModelError> {
+        self.filter.recalibrate(params)?;
         self.starvation_streak = 0;
+        Ok(())
     }
 }
 
@@ -292,8 +259,8 @@ mod tests {
 
     #[test]
     fn threshold_matches_equation_five() {
-        let d = Detector::new(params(), 0.05);
-        let verdict = d.evaluate(0.3);
+        let d = Detector::new(params(), 0.05).unwrap();
+        let verdict = d.evaluate(0.3).unwrap();
         let want = verdict.innovation_variance.sqrt() * q_inverse(0.025);
         assert!((verdict.threshold - want).abs() < 1e-12);
         // For α = 5%, Q⁻¹(0.025) ≈ 1.96.
@@ -310,10 +277,10 @@ mod tests {
         let p = params();
         let mut rng = stream_rng(20, 0);
         let trace = p.simulate(20_000, &mut rng);
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         let mut flagged = 0usize;
         for &obs in &trace {
-            if d.evaluate(obs).suspicious {
+            if d.evaluate(obs).unwrap().suspicious {
                 flagged += 1;
             }
             d.accept(obs);
@@ -333,10 +300,10 @@ mod tests {
         let p = params();
         let mut rng = stream_rng(20, 1);
         let trace = p.simulate(20_000, &mut rng);
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         let mut flagged = 0usize;
         for &obs in &trace {
-            if d.assess(obs).suspicious {
+            if d.assess(obs).unwrap().suspicious {
                 flagged += 1;
             }
         }
@@ -350,25 +317,25 @@ mod tests {
     #[test]
     fn flags_large_deviations() {
         let p = params();
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         // Warm the filter with nominal data.
         for _ in 0..50 {
             d.accept(p.stationary_mean());
         }
         // A blatant lie: relative error far beyond anything nominal.
-        let verdict = d.evaluate(5.0);
+        let verdict = d.evaluate(5.0).unwrap();
         assert!(verdict.suspicious);
     }
 
     #[test]
     fn rejected_observations_do_not_move_the_filter() {
         let p = params();
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for _ in 0..50 {
             d.accept(p.stationary_mean());
         }
         let before = d.filter().clone();
-        let verdict = d.assess(10.0);
+        let verdict = d.assess(10.0).unwrap();
         assert!(verdict.suspicious);
         assert_eq!(
             d.filter(),
@@ -379,8 +346,8 @@ mod tests {
 
     #[test]
     fn smaller_alpha_is_more_lenient() {
-        let d1 = Detector::new(params(), 0.01);
-        let d5 = Detector::new(params(), 0.05);
+        let d1 = Detector::new(params(), 0.01).unwrap();
+        let d5 = Detector::new(params(), 0.05).unwrap();
         let t1 = d1.prediction().threshold;
         let t5 = d5.prediction().threshold;
         assert!(
@@ -392,7 +359,7 @@ mod tests {
     #[test]
     fn prediction_matches_evaluate_without_an_observation() {
         let p = params();
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for obs in [0.35, 0.28, 0.41] {
             d.accept(obs);
         }
@@ -400,7 +367,7 @@ mod tests {
         let outlook = d.prediction();
         assert_eq!(d.filter(), &before, "prediction must be side-effect-free");
         // Bit-for-bit the same numbers evaluate() folds into its verdict.
-        let v = d.evaluate(0.0);
+        let v = d.evaluate(0.0).unwrap();
         assert_eq!(outlook.predicted.to_bits(), v.predicted.to_bits());
         assert_eq!(
             outlook.innovation_variance.to_bits(),
@@ -411,10 +378,10 @@ mod tests {
 
     #[test]
     fn threshold_at_is_monotone_decreasing_in_alpha() {
-        let d = Detector::new(params(), 0.05);
+        let d = Detector::new(params(), 0.05).unwrap();
         let mut prev = f64::INFINITY;
         for alpha in [0.001, 0.01, 0.03, 0.05, 0.1, 0.3] {
-            let t = d.threshold_at(alpha);
+            let t = d.threshold_at(alpha).unwrap();
             assert!(t < prev, "threshold must shrink as α grows");
             prev = t;
         }
@@ -427,11 +394,11 @@ mod tests {
         let clean = p.simulate(2000, &mut rng);
         let mut rates = Vec::new();
         for shift in [0.05, 0.2, 0.8] {
-            let mut d = Detector::new(p, 0.05);
+            let mut d = Detector::new(p, 0.05).unwrap();
             let mut caught = 0usize;
             for &obs in &clean {
                 // Every observation tampered upward by `shift`.
-                if d.assess(obs + shift).suspicious {
+                if d.assess(obs + shift).unwrap().suspicious {
                     caught += 1;
                 }
             }
@@ -450,28 +417,28 @@ mod tests {
     #[test]
     fn recalibration_signal_propagates() {
         let p = params();
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for _ in 0..10 {
             d.accept(1e3);
         }
         assert!(d.needs_recalibration());
-        d.recalibrate(p);
+        d.recalibrate(p).unwrap();
         assert!(!d.needs_recalibration());
     }
 
     #[test]
     fn coasting_widens_the_threshold_without_corrupting_state() {
         let p = params();
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for _ in 0..50 {
             d.accept(p.stationary_mean());
         }
-        let before = d.evaluate(p.stationary_mean());
+        let before = d.evaluate(p.stationary_mean()).unwrap();
         let updates = d.filter().updates();
         for _ in 0..10 {
             d.coast();
         }
-        let after = d.evaluate(p.stationary_mean());
+        let after = d.evaluate(p.stationary_mean()).unwrap();
         assert!(
             after.threshold > before.threshold,
             "missing samples must widen the test band: {} vs {}",
@@ -490,7 +457,7 @@ mod tests {
     #[test]
     fn starvation_fires_at_limit_and_resets_on_sample_or_recalibration() {
         let p = params();
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for _ in 0..SAMPLE_STARVATION_LIMIT - 1 {
             d.coast();
         }
@@ -508,69 +475,65 @@ mod tests {
             d.coast();
         }
         assert!(d.starved());
-        d.recalibrate(p);
+        d.recalibrate(p).unwrap();
         assert!(!d.starved());
     }
 
     #[test]
     fn assess_resets_starvation_on_accepted_sample() {
         let p = params();
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for _ in 0..5 {
             d.coast();
         }
         assert_eq!(d.starvation_streak(), 5);
-        let v = d.assess(p.stationary_mean());
+        let v = d.assess(p.stationary_mean()).unwrap();
         assert!(!v.suspicious);
         assert_eq!(d.starvation_streak(), 0);
         // A rejected sample is not a measurement: streak keeps growing.
         d.coast();
-        let v = d.assess(100.0);
+        let v = d.assess(100.0).unwrap();
         assert!(v.suspicious);
         assert_eq!(d.starvation_streak(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "significance level must be in (0, 1)")]
-    fn rejects_alpha_of_one() {
-        Detector::new(params(), 1.0);
-    }
-
-    #[test]
-    fn try_apis_report_typed_errors() {
-        assert_eq!(
-            Detector::try_new(params(), 0.0).err(),
-            Some(DetectorError::InvalidAlpha(0.0))
-        );
+    fn invalid_inputs_are_refused_with_typed_errors() {
+        for alpha in [0.0, 1.0] {
+            assert_eq!(
+                Detector::new(params(), alpha).err(),
+                Some(DetectorError::InvalidAlpha(alpha))
+            );
+        }
         let mut bad = params();
         bad.beta = 1.5;
         assert!(matches!(
-            Detector::try_new(bad, 0.05),
+            Detector::new(bad, 0.05),
             Err(DetectorError::InvalidParams(ModelError::NonStationaryBeta(
                 _
             )))
         ));
-        let d = Detector::new(params(), 0.05);
+        let mut d = Detector::new(params(), 0.05).unwrap();
         assert_eq!(
-            d.try_threshold_at(2.0).err(),
+            d.threshold_at(2.0).err(),
             Some(DetectorError::InvalidAlpha(2.0))
         );
         assert!(matches!(
-            d.try_evaluate(f64::NAN),
+            d.evaluate(f64::NAN),
             Err(DetectorError::NonFiniteObservation(_))
         ));
-        // The happy paths agree with the panicking shims.
-        let v = d.try_evaluate(0.4).expect("finite observation");
-        assert_eq!(v, d.evaluate(0.4));
-        assert_eq!(
-            d.try_threshold_at(0.01).expect("valid level"),
-            d.threshold_at(0.01)
-        );
+        let before = d.clone();
+        assert!(matches!(
+            d.assess(f64::INFINITY),
+            Err(DetectorError::NonFiniteObservation(_))
+        ));
+        assert_eq!(d.recalibrate(bad), Err(ModelError::NonStationaryBeta(1.5)));
+        assert_eq!(d, before, "a refused call leaves the detector as it was");
     }
 
     #[test]
     fn serde_roundtrip() {
-        let mut d = Detector::new(params(), 0.05);
+        let mut d = Detector::new(params(), 0.05).unwrap();
         d.accept(0.3);
         let json = serde_json::to_string(&d).expect("serialize");
         let back: Detector = serde_json::from_str(&json).expect("deserialize");

@@ -374,7 +374,7 @@ mod tests {
             StateSpaceParams::em_initial_guess(),
             &tight_config(),
         );
-        let mut filter = crate::kalman::KalmanFilter::new(out.params);
+        let mut filter = crate::kalman::KalmanFilter::new(out.params).unwrap();
         let mut z = Vec::new();
         for &d in &test {
             let pred = filter.predict();

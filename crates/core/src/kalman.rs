@@ -62,7 +62,7 @@ pub struct KalmanFilter {
 impl KalmanFilter {
     /// Initialize from calibrated parameters: `Δ̂_{0|0} = w₀`,
     /// `P_{0|0} = p₀`, rejecting invalid parameters with a typed error.
-    pub fn try_new(params: StateSpaceParams) -> Result<Self, ModelError> {
+    pub fn new(params: StateSpaceParams) -> Result<Self, ModelError> {
         params.check()?;
         Ok(Self {
             params,
@@ -71,16 +71,6 @@ impl KalmanFilter {
             updates: 0,
             outside_streak: 0,
         })
-    }
-
-    /// [`KalmanFilter::try_new`] for contexts that cannot propagate the
-    /// error (the long-standing public constructor).
-    ///
-    /// # Panics
-    /// Panics if the parameters are invalid (see
-    /// [`StateSpaceParams::check`]).
-    pub fn new(params: StateSpaceParams) -> Self {
-        Self::try_new(params).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The calibrated parameters this filter runs on.
@@ -208,15 +198,23 @@ impl KalmanFilter {
         self.outside_streak >= RECALIBRATION_STREAK
     }
 
-    /// Reset state after recalibration with fresh parameters.
-    pub fn recalibrate(&mut self, params: StateSpaceParams) {
-        *self = Self::new(params);
+    /// Reset state after recalibration with fresh parameters, refusing
+    /// invalid ones (the filter is then left as it was).
+    pub fn recalibrate(&mut self, params: StateSpaceParams) -> Result<(), ModelError> {
+        *self = Self::new(params)?;
+        Ok(())
     }
 
     /// Run the filter over a whole trace, returning each step's
     /// `(prediction, innovation)` — the series Fig 2 of the paper plots.
+    ///
+    /// # Panics
+    /// Panics if the parameters are invalid: callers hand it the output
+    /// of EM calibration, which always satisfies the model invariants.
     pub fn run_trace(params: StateSpaceParams, observations: &[f64]) -> Vec<(Prediction, f64)> {
-        let mut filter = Self::new(params);
+        #[allow(clippy::expect_used)] // same contract as the audit:allow below
+        // audit:allow(PANIC01): run_trace replays EM-calibrated params, which always pass check(); invalid ones are a caller bug that must fail loudly
+        let mut filter = Self::new(params).expect("run_trace needs valid parameters");
         observations
             .iter()
             .map(|&d| {
@@ -247,7 +245,7 @@ mod tests {
 
     #[test]
     fn initializes_from_w0_p0() {
-        let f = KalmanFilter::new(params());
+        let f = KalmanFilter::new(params()).unwrap();
         assert_eq!(f.estimate(), 0.4);
         assert_eq!(f.variance(), 0.05);
         assert_eq!(f.updates(), 0);
@@ -255,7 +253,7 @@ mod tests {
 
     #[test]
     fn predict_follows_paper_equations() {
-        let f = KalmanFilter::new(params());
+        let f = KalmanFilter::new(params()).unwrap();
         let pred = f.predict();
         assert!((pred.predicted - (0.85 * 0.4 + 0.015)).abs() < 1e-12);
         assert!((pred.state_variance - (0.85 * 0.85 * 0.05 + 0.003)).abs() < 1e-12);
@@ -264,7 +262,7 @@ mod tests {
 
     #[test]
     fn update_applies_kalman_gain() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         let pred = f.predict();
         let obs = 0.6;
         let innovation = f.update(obs);
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn variance_converges_to_steady_state() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         let mut rng = stream_rng(1, 0);
         let trace = params().simulate(2000, &mut rng);
         let mut last = f64::NAN;
@@ -300,7 +298,7 @@ mod tests {
         let p = params();
         let mut rng = stream_rng(2, 0);
         let trace = p.simulate(3000, &mut rng);
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         let mut standardized = Vec::with_capacity(trace.len());
         for &d in &trace {
             let pred = f.predict();
@@ -332,7 +330,7 @@ mod tests {
         let p = params();
         let mut rng = stream_rng(3, 0);
         let trace = p.simulate(20_000, &mut rng);
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         let mut inside = 0usize;
         for &d in &trace {
             let pred = f.predict();
@@ -348,7 +346,7 @@ mod tests {
 
     #[test]
     fn recalibration_fires_after_ten_consecutive_outliers() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         // Feed benign data first.
         for _ in 0..20 {
             f.update(f.predict().predicted);
@@ -364,7 +362,7 @@ mod tests {
 
     #[test]
     fn streak_resets_on_inlier() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         for _ in 0..9 {
             f.update(1e6); // way outside
         }
@@ -378,12 +376,12 @@ mod tests {
 
     #[test]
     fn recalibrate_resets_everything() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         for _ in 0..15 {
             f.update(1e6);
         }
         assert!(f.needs_recalibration());
-        f.recalibrate(params());
+        f.recalibrate(params()).unwrap();
         assert!(!f.needs_recalibration());
         assert_eq!(f.updates(), 0);
         assert_eq!(f.estimate(), 0.4);
@@ -396,7 +394,7 @@ mod tests {
         let p = params();
         let mut rng = stream_rng(4, 0);
         let trace = p.simulate(5000, &mut rng);
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         let stationary = p.stationary_mean();
         let mut filter_se = 0.0;
         let mut baseline_se = 0.0;
@@ -418,7 +416,7 @@ mod tests {
         let mut rng = stream_rng(5, 0);
         let trace = p.simulate(100, &mut rng);
         let batch = KalmanFilter::run_trace(p, &trace);
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         for (i, &d) in trace.iter().enumerate() {
             let pred = f.predict();
             let innovation = f.update(d);
@@ -429,7 +427,7 @@ mod tests {
 
     #[test]
     fn time_update_follows_model_dynamics() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         f.update(0.35);
         let pred = f.predict();
         let updates = f.updates();
@@ -443,7 +441,7 @@ mod tests {
     fn time_update_grows_variance_boundedly() {
         // Coasting widens uncertainty each step but converges to the
         // stationary variance v_W / (1 − β²), never diverging.
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         for _ in 0..50 {
             f.update(0.3);
         }
@@ -464,7 +462,7 @@ mod tests {
 
     #[test]
     fn time_update_preserves_recalibration_streak() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         for _ in 0..9 {
             f.update(1e6);
         }
@@ -480,12 +478,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "observation must be finite")]
     fn update_rejects_nan() {
-        KalmanFilter::new(params()).update(f64::NAN);
+        KalmanFilter::new(params()).unwrap().update(f64::NAN);
     }
 
     #[test]
     fn serde_roundtrip_preserves_state() {
-        let mut f = KalmanFilter::new(params());
+        let mut f = KalmanFilter::new(params()).unwrap();
         f.update(0.3);
         f.update(0.45);
         let json = serde_json::to_string(&f).expect("serialize");

@@ -17,22 +17,29 @@
 //!   round**, the filter parameters are presumed stale and the node asks
 //!   the Surveyor infrastructure for fresh ones ([`SecureStep`] callers
 //!   observe this through [`SecureNode::end_round`]).
+//!
+//! Steps are vetted in batched sweeps over a [`DetectorBank`]
+//! ([`vet_single`], [`vet_sequences`]); their shared decision body,
+//! `vet_column`, is the one implementation of the rule.
 
 use crate::batch::DetectorBank;
-use crate::detector::{Detector, Verdict};
+use crate::detector::{Detector, DetectorError, Verdict};
 use crate::ledger::PeerLedger;
-use crate::model::StateSpaceParams;
+use crate::model::{ModelError, StateSpaceParams};
 use ices_coord::{Embedding, PeerSample, StepOutcome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// An invalid [`SecurityConfig`] field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// An invalid [`SecurityConfig`] field, or filter parameters that
+/// [`SecureNode::new`] cannot arm a detector with.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `alpha` outside `(0, 1)`.
     InvalidAlpha(f64),
     /// `refresh_fraction` outside `(0, 1]`.
     InvalidRefreshFraction(f64),
+    /// The calibrated parameters violate a model invariant.
+    InvalidParams(ModelError),
 }
 
 impl fmt::Display for ConfigError {
@@ -44,6 +51,7 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidRefreshFraction(r) => {
                 write!(f, "refresh_fraction must be in (0,1], got {r}")
             }
+            ConfigError::InvalidParams(e) => write!(f, "invalid filter parameters: {e}"),
         }
     }
 }
@@ -169,7 +177,8 @@ impl<E: Embedding> SecureNode<E> {
     /// `params` (obtained from Surveyor `filter_source`).
     ///
     /// # Errors
-    /// Returns the [`ConfigError`] of an invalid `config`.
+    /// Returns the [`ConfigError`] of an invalid `config` or of invalid
+    /// `params`.
     pub fn new(
         inner: E,
         params: StateSpaceParams,
@@ -177,9 +186,15 @@ impl<E: Embedding> SecureNode<E> {
         config: SecurityConfig,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
+        let detector = Detector::new(params, config.alpha).map_err(|e| match e {
+            DetectorError::InvalidParams(e) => ConfigError::InvalidParams(e),
+            // `validate` has accepted `alpha`, and no observation is
+            // tested here.
+            _ => ConfigError::InvalidAlpha(config.alpha),
+        })?;
         Ok(Self {
             inner,
-            detector: Detector::new(params, config.alpha),
+            detector,
             config,
             filter_source,
             ledger: PeerLedger::new(),
@@ -229,55 +244,6 @@ impl<E: Embedding> SecureNode<E> {
         }
     }
 
-    /// Vet one embedding step and apply it if it passes (§4.1–4.2).
-    pub fn step(&mut self, sample: &PeerSample) -> SecureStep {
-        let d = self.inner.probe(sample);
-        let verdict = self.detector.evaluate(d);
-        let first_time = self.ledger.test(sample.peer);
-
-        if !verdict.suspicious {
-            self.detector.accept(d);
-            let outcome = self.inner.apply_step(sample);
-            self.accepted += 1;
-            return SecureStep::Accepted { outcome, verdict };
-        }
-
-        // Suspicious. First-time peers may earn a reprieve at the
-        // stricter significance e_l·α (a *smaller* α gives a *larger*
-        // threshold, i.e. more leniency — and a confident node with a
-        // small e_l is the most lenient).
-        if self.config.reprieve_enabled && first_time {
-            let el = self.inner.local_error().clamp(1e-6, 1.0);
-            let alpha2 = (el * self.config.alpha).clamp(1e-9, 1.0 - 1e-9);
-            let reprieve_threshold = self.detector.threshold_at(alpha2);
-            if verdict.innovation.abs() < reprieve_threshold {
-                self.reprieved += 1;
-                return SecureStep::Reprieved {
-                    verdict,
-                    reprieve_threshold,
-                };
-            }
-        }
-
-        self.ledger.reject(sample.peer);
-        self.rejected += 1;
-        SecureStep::Rejected { verdict }
-    }
-
-    /// Absorb an embedding step whose probe produced **no measurement**
-    /// (lost or timed out): the detector coasts — a Kalman time-update
-    /// with no measurement-update — so its innovation statistics widen
-    /// honestly instead of going stale. The step is *not* a test: the
-    /// peer is neither counted in the round nor marked rejected, and
-    /// the embedding is untouched.
-    ///
-    /// Consecutive missing samples accumulate into the detector's
-    /// sample-starvation signal, which [`SecureNode::end_round`] turns
-    /// into a [`RoundAction::RefreshFilter`] request.
-    pub fn step_missing(&mut self) {
-        self.detector.coast();
-    }
-
     /// Close the current embedding round. Returns
     /// [`RoundAction::RefreshFilter`] when at least `refresh_fraction`
     /// of the round's distinct peers were rejected — the signal that the
@@ -296,21 +262,34 @@ impl<E: Embedding> SecureNode<E> {
     }
 
     /// Install fresh filter parameters obtained from Surveyor
-    /// `source`.
-    pub fn refresh_filter(&mut self, params: StateSpaceParams, source: usize) {
-        self.detector.recalibrate(params);
+    /// `source`. Invalid parameters are refused and leave the node on
+    /// its current filter.
+    pub fn refresh_filter(
+        &mut self,
+        params: StateSpaceParams,
+        source: usize,
+    ) -> Result<(), ModelError> {
+        self.detector.recalibrate(params)?;
         self.filter_source = source;
+        Ok(())
     }
 }
 
-/// One detection event for the batched vetting sweep: what a single
-/// `SecureNode` would have seen at one embedding step.
+/// One detection event for the vetting sweeps: what a single
+/// `SecureNode` sees at one embedding step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum VetEvent {
-    /// A measured sample to vet — the batched [`SecureNode::step`].
+    /// A measured sample to vet: accepted and applied, reprieved, or
+    /// rejected (§4.1–4.2).
     Sample(PeerSample),
-    /// A lost or timed-out probe — the batched
-    /// [`SecureNode::step_missing`].
+    /// A lost or timed-out probe: the detector coasts — a Kalman
+    /// time-update with no measurement-update — so its innovation
+    /// statistics widen honestly instead of going stale. It is not a
+    /// test: the peer is neither counted in the round nor marked
+    /// rejected, and the embedding is untouched. Consecutive missing
+    /// samples accumulate into the sample-starvation signal, which
+    /// [`SecureNode::end_round`] turns into a
+    /// [`RoundAction::RefreshFilter`] request.
     Missing,
 }
 
@@ -353,11 +332,15 @@ impl ColumnScratch {
 /// scalar one where it matters: a node has at most one event per
 /// column, and its test still precedes its reject.
 ///
-/// The decision body deliberately DUPLICATES [`SecureNode::step`] — the
-/// bank owns the detector state mid-sweep, so the scalar method cannot
-/// be called — and must stay in lockstep with it. The
-/// `vet_single_is_bit_identical_to_scalar_steps` test (and the sim
-/// crate's golden fingerprints) enforce the equivalence.
+/// This is the only implementation of the §4.2 accept/reprieve/reject
+/// rule: both simulations and the daemon vet through it. A sample's
+/// verdict is the Eq. 5 test; a suspicious sample from a peer the node
+/// tests for the first time is retested at the stricter level `e_l·α`
+/// (a *smaller* α gives a *larger* threshold, so a confident node with
+/// a small `e_l` is the most lenient) and reprieved if it passes; any
+/// other suspicious sample is rejected and its peer flagged. The tests
+/// hold it bit for bit to a scalar oracle over [`Detector`], and the
+/// sim crate's golden fingerprints pin its outputs.
 fn vet_column<'e, E: Embedding>(
     bank: &mut DetectorBank,
     nodes: &mut [&mut SecureNode<E>],
@@ -428,16 +411,16 @@ fn vet_column<'e, E: Embedding>(
 /// shape: every participating node tests exactly one peer sample — or
 /// coasts — per tick).
 ///
-/// This is **bit-for-bit** the same as calling
-/// [`SecureNode::step`] / [`SecureNode::step_missing`] on each node in
-/// order: the bank runs the identical per-slot f64 recursions (with the
-/// `Q⁻¹(α/2)` factor cached — a pure function, so the product is
-/// unchanged) and scatters the state back before returning. The `bank`
-/// is caller-owned so its allocations, sweep buffers and quantile memo
-/// persist across ticks; it is cleared and refilled here.
+/// This is **bit-for-bit** the same as running the scalar [`Detector`]
+/// of each node through the rule in node order: the bank runs the
+/// identical per-slot f64 recursions (with the `Q⁻¹(α/2)` factor
+/// cached — a pure function, so the product is unchanged) and scatters
+/// the state back before returning. The `bank` is caller-owned so its
+/// allocations, sweep buffers and quantile memo persist across ticks;
+/// it is cleared and refilled here.
 ///
 /// Calls `sink(i, step)` for node `i`'s `Sample` event, in node order;
-/// a `Missing` event, as in the scalar path, produces no step outcome.
+/// a `Missing` event produces no step outcome.
 pub fn vet_single<E: Embedding>(
     bank: &mut DetectorBank,
     nodes: &mut [&mut SecureNode<E>],
@@ -575,6 +558,59 @@ mod tests {
         }
     }
 
+    /// Vet one sample on one node through the production sweep.
+    fn vet_one(node: &mut SecureNode<StubEmbedding>, sample: &PeerSample) -> SecureStep {
+        let mut out = None;
+        let event = [VetEvent::Sample(sample.clone())];
+        vet_single(&mut DetectorBank::new(), &mut [node], &event, |_, step| {
+            out = Some(step)
+        });
+        out.expect("a sample yields a step")
+    }
+
+    /// A lost probe on one node, through the production sweep.
+    fn vet_missing(node: &mut SecureNode<StubEmbedding>) {
+        vet_single(
+            &mut DetectorBank::new(),
+            &mut [node],
+            &[VetEvent::Missing],
+            |_, _| {},
+        );
+    }
+
+    /// The §4.2 rule for one node and one event, written out over the
+    /// scalar [`Detector`]: the bitwise oracle `vet_column` is held to.
+    fn scalar_step<E: Embedding>(node: &mut SecureNode<E>, event: &VetEvent) -> Option<SecureStep> {
+        let VetEvent::Sample(sample) = event else {
+            node.detector.coast();
+            return None;
+        };
+        let d = node.inner.probe(sample);
+        let verdict = node.detector.evaluate(d).unwrap();
+        let first_time = node.ledger.test(sample.peer);
+        if !verdict.suspicious {
+            node.detector.accept(d);
+            let outcome = node.inner.apply_step(sample);
+            node.accepted += 1;
+            return Some(SecureStep::Accepted { outcome, verdict });
+        }
+        if node.config.reprieve_enabled && first_time {
+            let el = node.inner.local_error().clamp(1e-6, 1.0);
+            let alpha2 = (el * node.config.alpha).clamp(1e-9, 1.0 - 1e-9);
+            let reprieve_threshold = node.detector.threshold_at(alpha2).unwrap();
+            if verdict.innovation.abs() < reprieve_threshold {
+                node.reprieved += 1;
+                return Some(SecureStep::Reprieved {
+                    verdict,
+                    reprieve_threshold,
+                });
+            }
+        }
+        node.ledger.reject(sample.peer);
+        node.rejected += 1;
+        Some(SecureStep::Rejected { verdict })
+    }
+
     fn secure(local_error: f64) -> SecureNode<StubEmbedding> {
         SecureNode::new(
             StubEmbedding::new(local_error),
@@ -589,7 +625,7 @@ mod tests {
     fn nominal_steps_are_accepted_and_applied() {
         let mut node = secure(0.1);
         let s = sample_with_error(1, 0.1); // close to the filter's state
-        let step = node.step(&s);
+        let step = vet_one(&mut node, &s);
         assert!(step.accepted(), "verdict: {:?}", step.verdict());
         assert_eq!(node.inner().applied, vec![1]);
         assert_eq!(node.counts(), (1, 0, 0));
@@ -599,8 +635,8 @@ mod tests {
     fn wild_steps_from_known_peers_are_rejected() {
         let mut node = secure(0.1);
         // Make peer 2 known with a good step first.
-        node.step(&sample_with_error(2, 0.1));
-        let step = node.step(&sample_with_error(2, 5.0));
+        vet_one(&mut node, &sample_with_error(2, 0.1));
+        let step = vet_one(&mut node, &sample_with_error(2, 5.0));
         assert!(step.replace_peer());
         assert_eq!(node.inner().applied, vec![2], "bad step must not apply");
         assert_eq!(node.counts().2, 1);
@@ -613,14 +649,14 @@ mod tests {
         let mut node = secure(0.01);
         // Suspicious at α = 5% but inside the (e_l·α)-threshold.
         let primary_t = node.detector().prediction().threshold;
-        let secondary_t = node.detector().threshold_at(0.01 * 0.05);
+        let secondary_t = node.detector().threshold_at(0.01 * 0.05).unwrap();
         assert!(secondary_t > primary_t);
         // Find a deviation between the two thresholds: innovation is
         // (d − predicted); predicted starts at w0-ish. Use d = predicted
         // + 1.5·primary_t.
         let predicted = node.detector().prediction().predicted;
         let d = predicted + (primary_t + secondary_t) / 2.0;
-        let step = node.step(&sample_with_error(7, d));
+        let step = vet_one(&mut node, &sample_with_error(7, d));
         match step {
             SecureStep::Reprieved { .. } => {}
             other => panic!("expected reprieve, got {other:?}"),
@@ -633,11 +669,11 @@ mod tests {
     fn reprieve_only_granted_once_per_peer() {
         let mut node = secure(0.01);
         let outlook = node.detector().prediction();
-        let secondary_t = node.detector().threshold_at(0.01 * 0.05);
+        let secondary_t = node.detector().threshold_at(0.01 * 0.05).unwrap();
         let d = outlook.predicted + (outlook.threshold + secondary_t) / 2.0;
-        let first = node.step(&sample_with_error(7, d));
+        let first = vet_one(&mut node, &sample_with_error(7, d));
         assert!(matches!(first, SecureStep::Reprieved { .. }));
-        let second = node.step(&sample_with_error(7, d));
+        let second = vet_one(&mut node, &sample_with_error(7, d));
         assert!(
             second.replace_peer(),
             "second suspicious step from the same peer must reject"
@@ -651,14 +687,14 @@ mod tests {
         let mut node = secure(1.0);
         let outlook = node.detector().prediction();
         let d = outlook.predicted + outlook.threshold * 1.5;
-        let step = node.step(&sample_with_error(3, d));
+        let step = vet_one(&mut node, &sample_with_error(3, d));
         assert!(step.replace_peer(), "e_l = 1 leaves no reprieve headroom");
     }
 
     #[test]
     fn blatant_lies_are_rejected_even_first_time() {
         let mut node = secure(0.01);
-        let step = node.step(&sample_with_error(4, 50.0));
+        let step = vet_one(&mut node, &sample_with_error(4, 50.0));
         assert!(step.replace_peer());
     }
 
@@ -668,9 +704,9 @@ mod tests {
         config.reprieve_enabled = false;
         let mut node = SecureNode::new(StubEmbedding::new(0.01), params(), 0, config).unwrap();
         let outlook = node.detector().prediction();
-        let secondary_t = node.detector().threshold_at(0.01 * 0.05);
+        let secondary_t = node.detector().threshold_at(0.01 * 0.05).unwrap();
         let d = outlook.predicted + (outlook.threshold + secondary_t) / 2.0;
-        let step = node.step(&sample_with_error(7, d));
+        let step = vet_one(&mut node, &sample_with_error(7, d));
         assert!(step.replace_peer(), "no reprieve when disabled");
     }
 
@@ -678,13 +714,13 @@ mod tests {
     fn round_with_majority_rejections_triggers_refresh() {
         let mut node = secure(1.0);
         // Two peers accepted, two rejected → exactly half → refresh.
-        node.step(&sample_with_error(1, 0.1));
-        node.step(&sample_with_error(2, 0.1));
-        node.step(&sample_with_error(3, 50.0));
-        node.step(&sample_with_error(4, 50.0));
+        vet_one(&mut node, &sample_with_error(1, 0.1));
+        vet_one(&mut node, &sample_with_error(2, 0.1));
+        vet_one(&mut node, &sample_with_error(3, 50.0));
+        vet_one(&mut node, &sample_with_error(4, 50.0));
         assert_eq!(node.end_round(), RoundAction::RefreshFilter);
         // Counters reset for the next round.
-        node.step(&sample_with_error(5, 0.1));
+        vet_one(&mut node, &sample_with_error(5, 0.1));
         assert_eq!(node.end_round(), RoundAction::Continue);
     }
 
@@ -692,9 +728,9 @@ mod tests {
     fn quiet_round_continues() {
         let mut node = secure(1.0);
         for peer in 0..6 {
-            node.step(&sample_with_error(peer, 0.1));
+            vet_one(&mut node, &sample_with_error(peer, 0.1));
         }
-        node.step(&sample_with_error(99, 50.0)); // 1 of 7 rejected
+        vet_one(&mut node, &sample_with_error(99, 50.0)); // 1 of 7 rejected
         assert_eq!(node.end_round(), RoundAction::Continue);
     }
 
@@ -702,10 +738,10 @@ mod tests {
     fn refresh_filter_swaps_source_and_state() {
         let mut node = secure(1.0);
         for _ in 0..5 {
-            node.step(&sample_with_error(1, 0.1));
+            vet_one(&mut node, &sample_with_error(1, 0.1));
         }
         assert_eq!(node.filter_source(), 0);
-        node.refresh_filter(params(), 42);
+        node.refresh_filter(params(), 42).unwrap();
         assert_eq!(node.filter_source(), 42);
         assert_eq!(node.detector().filter().updates(), 0);
     }
@@ -733,12 +769,44 @@ mod tests {
     }
 
     #[test]
+    fn new_refuses_invalid_params_with_a_typed_error() {
+        let mut bad = params();
+        bad.v_u = 0.0;
+        let node = SecureNode::new(
+            StubEmbedding::new(0.1),
+            bad,
+            0,
+            SecurityConfig::paper_default(),
+        );
+        assert_eq!(
+            node.err(),
+            Some(ConfigError::InvalidParams(ModelError::NonPositiveVariance(
+                "v_u", 0.0
+            ))),
+            "invalid filter parameters must not build a node"
+        );
+        let mut node = secure(0.1);
+        vet_one(&mut node, &sample_with_error(1, 0.1));
+        let before = node.detector().clone();
+        assert_eq!(
+            node.refresh_filter(bad, 5),
+            Err(ModelError::NonPositiveVariance("v_u", 0.0))
+        );
+        assert_eq!(
+            node.detector(),
+            &before,
+            "a refused refresh keeps the filter"
+        );
+        assert_eq!(node.filter_source(), 0);
+    }
+
+    #[test]
     fn missing_samples_coast_without_touching_round_state() {
         let mut node = secure(0.1);
-        node.step(&sample_with_error(1, 0.1));
+        vet_one(&mut node, &sample_with_error(1, 0.1));
         let threshold_before = node.detector().prediction().threshold;
         for _ in 0..10 {
-            node.step_missing();
+            vet_missing(&mut node);
         }
         let threshold_after = node.detector().prediction().threshold;
         assert!(
@@ -756,7 +824,7 @@ mod tests {
         use crate::detector::SAMPLE_STARVATION_LIMIT;
         let mut node = secure(0.1);
         for _ in 0..SAMPLE_STARVATION_LIMIT {
-            node.step_missing();
+            vet_missing(&mut node);
         }
         assert_eq!(
             node.end_round(),
@@ -764,8 +832,8 @@ mod tests {
             "a starved detector must ask for recalibration"
         );
         // Installing fresh parameters clears the starvation state.
-        node.refresh_filter(params(), 9);
-        node.step(&sample_with_error(1, 0.1));
+        node.refresh_filter(params(), 9).unwrap();
+        vet_one(&mut node, &sample_with_error(1, 0.1));
         assert_eq!(node.end_round(), RoundAction::Continue);
     }
 
@@ -779,7 +847,7 @@ mod tests {
         let mut node = secure(0.3);
         let mut accepted = 0usize;
         for (i, &d) in trace.iter().enumerate() {
-            if node.step(&sample_with_error(i % 64, d.max(0.0))).accepted() {
+            if vet_one(&mut node, &sample_with_error(i % 64, d.max(0.0))).accepted() {
                 accepted += 1;
             }
         }
@@ -814,13 +882,7 @@ mod tests {
             let scalar_steps: Vec<Option<SecureStep>> = scalar
                 .iter_mut()
                 .zip(&events)
-                .map(|(node, event)| match event {
-                    VetEvent::Sample(s) => Some(node.step(s)),
-                    VetEvent::Missing => {
-                        node.step_missing();
-                        None
-                    }
-                })
+                .map(|(node, event)| scalar_step(node, event))
                 .collect();
             let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
             let mut batched_steps = vec![None; n];
@@ -861,17 +923,7 @@ mod tests {
             let scalar_steps: Vec<Vec<Option<SecureStep>>> = scalar
                 .iter_mut()
                 .zip(&events)
-                .map(|(node, seq)| {
-                    seq.iter()
-                        .map(|event| match event {
-                            VetEvent::Sample(s) => Some(node.step(s)),
-                            VetEvent::Missing => {
-                                node.step_missing();
-                                None
-                            }
-                        })
-                        .collect()
-                })
+                .map(|(node, seq)| seq.iter().map(|event| scalar_step(node, event)).collect())
                 .collect();
             let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
             let mut batched_steps: Vec<Vec<Option<SecureStep>>> =
@@ -893,11 +945,14 @@ mod tests {
         let moderate = |node: &SecureNode<StubEmbedding>, prefix: &[PeerSample]| {
             let mut ahead = node.clone();
             for sample in prefix {
-                ahead.step(sample);
+                scalar_step(&mut ahead, &VetEvent::Sample(sample.clone()));
             }
             let outlook = ahead.detector().prediction();
             let el = ahead.inner().local_error();
-            let reprieve = ahead.detector().threshold_at(el * ahead.config.alpha);
+            let reprieve = ahead
+                .detector()
+                .threshold_at(el * ahead.config.alpha)
+                .unwrap();
             outlook.predicted + (outlook.threshold + reprieve) / 2.0
         };
         let blatant = sample_with_error(900, 50.0);
@@ -913,14 +968,7 @@ mod tests {
         let scalar_steps: Vec<Vec<Option<SecureStep>>> = scalar
             .iter_mut()
             .zip(&events)
-            .map(|(node, seq)| {
-                seq.iter()
-                    .map(|event| match event {
-                        VetEvent::Sample(s) => Some(node.step(s)),
-                        VetEvent::Missing => None,
-                    })
-                    .collect()
-            })
+            .map(|(node, seq)| seq.iter().map(|event| scalar_step(node, event)).collect())
             .collect();
         assert!(
             matches!(

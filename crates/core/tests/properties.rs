@@ -33,7 +33,7 @@ proptest! {
         p in params_strategy(),
         obs in proptest::collection::vec(-2f64..3.0, 1..80),
     ) {
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         for &d in &obs {
             let pred = f.predict();
             f.update(d);
@@ -49,7 +49,7 @@ proptest! {
         p in params_strategy(),
         obs in proptest::collection::vec(-2f64..3.0, 1..50),
     ) {
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         for &d in &obs {
             let pred = f.predict();
             prop_assert!(pred.innovation_variance >= p.v_u);
@@ -63,7 +63,7 @@ proptest! {
         p in params_strategy(),
         obs in -2f64..3.0,
     ) {
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         let pred = f.predict();
         f.update(obs);
         // The posterior lies strictly between prediction and observation
@@ -77,7 +77,7 @@ proptest! {
     fn variance_converges_to_a_fixed_point(
         p in params_strategy(),
     ) {
-        let mut f = KalmanFilter::new(p);
+        let mut f = KalmanFilter::new(p).unwrap();
         for _ in 0..500 {
             f.update(p.w0);
         }
@@ -92,13 +92,13 @@ proptest! {
         p in params_strategy(),
         obs in proptest::collection::vec(-1f64..2.0, 0..30),
     ) {
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for &x in &obs {
             d.accept(x);
         }
         let mut prev = f64::INFINITY;
         for alpha in [0.001, 0.01, 0.05, 0.2, 0.5] {
-            let t = d.threshold_at(alpha);
+            let t = d.threshold_at(alpha).unwrap();
             prop_assert!(t < prev, "threshold must shrink as α grows");
             prop_assert!(t > 0.0);
             prev = t;
@@ -110,8 +110,8 @@ proptest! {
         p in params_strategy(),
         obs in -3f64..4.0,
     ) {
-        let d = Detector::new(p, 0.05);
-        let v = d.evaluate(obs);
+        let d = Detector::new(p, 0.05).unwrap();
+        let v = d.evaluate(obs).unwrap();
         prop_assert_eq!(v.suspicious, v.innovation.abs() >= v.threshold);
         prop_assert!((v.innovation - (obs - v.predicted)).abs() < 1e-12);
     }
@@ -121,13 +121,13 @@ proptest! {
         p in params_strategy(),
         warm in proptest::collection::vec(-0.2f64..0.8, 5..40),
     ) {
-        let mut d = Detector::new(p, 0.05);
+        let mut d = Detector::new(p, 0.05).unwrap();
         for &x in &warm {
             d.accept(x);
         }
         let before = d.filter().clone();
         // An observation guaranteed beyond any plausible threshold.
-        let v = d.assess(1e6);
+        let v = d.assess(1e6).unwrap();
         prop_assert!(v.suspicious);
         prop_assert_eq!(d.filter(), &before);
     }

@@ -46,12 +46,38 @@
 //! pointer is dereferenced only between job publication and the
 //! `remaining == 0` handshake, during which the dispatching call (which
 //! owns the borrow) is blocked and cannot return or unwind past it.
+//!
+//! ## Model checking
+//!
+//! Under `--cfg loom` the primitives of the handoff protocol (the state
+//! mutex, both condvars, `remaining` and the completion spin) come from
+//! the vendored `loom` instead of `std`, and the `model` tests below
+//! drive this very `broadcast` across seeded schedules:
+//!
+//! ```text
+//! RUSTFLAGS="--cfg loom" cargo test -p ices-par --lib -- pool::model --test-threads=1
+//! ```
+//!
+//! The `dispatch` mutex and the `OnceLock` stay `std`: they serialise
+//! callers and are not part of the handoff. The model tests run one at
+//! a time because a concurrent dispatch on the global pool runs inline.
 
 #![allow(unsafe_code)]
 
+#[cfg(loom)]
+use loom::{
+    hint::spin_loop,
+    sync::atomic::{AtomicUsize, Ordering},
+    sync::{Condvar, Mutex, MutexGuard},
+};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::sync::{OnceLock, PoisonError, TryLockError};
+#[cfg(not(loom))]
+use std::{
+    hint::spin_loop,
+    sync::atomic::{AtomicUsize, Ordering},
+    sync::{Condvar, Mutex, MutexGuard},
+};
 
 /// One published dispatch: the partition closure (lifetime-erased) and
 /// how many partitions it spans.
@@ -100,7 +126,7 @@ struct Pool {
     /// Serializes dispatches. A concurrent or re-entrant broadcast
     /// (`try_lock` failure) runs its partitions inline instead — the
     /// result is identical, only the scheduling differs.
-    dispatch: Mutex<()>,
+    dispatch: std::sync::Mutex<()>,
     /// Whether spinning briefly for completion can help (it cannot on a
     /// single-core host, where spinning only steals the worker's CPU).
     multicore: bool,
@@ -132,7 +158,7 @@ impl Pool {
                 work: Condvar::new(),
                 done: Condvar::new(),
             })),
-            dispatch: Mutex::new(()),
+            dispatch: std::sync::Mutex::new(()),
             multicore: std::thread::available_parallelism()
                 .map(|n| n.get() > 1)
                 .unwrap_or(false),
@@ -275,7 +301,7 @@ pub(crate) fn broadcast(partitions: usize, f: &(dyn Fn(usize) + Sync)) {
             if pool.shared.remaining.load(Ordering::Acquire) == 0 {
                 break;
             }
-            std::hint::spin_loop();
+            spin_loop();
         }
     }
     let worker_panic = {
@@ -357,5 +383,100 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 4);
+    }
+}
+
+#[cfg(all(test, loom))]
+mod model {
+    use super::*;
+    use std::thread;
+
+    /// What one dispatch did, per partition: how many times it ran and
+    /// how many of those runs were on the dispatching thread.
+    struct Record {
+        runs: Vec<AtomicUsize>,
+        on_caller: Vec<AtomicUsize>,
+    }
+
+    /// Dispatch `partitions` through the real [`broadcast`], panicking
+    /// in partition `poison` if given. The record is read after
+    /// `broadcast` returns, so it shows what the barrier let finish.
+    fn dispatch(partitions: usize, poison: Option<usize>) -> (Record, thread::Result<()>) {
+        let record = Record {
+            runs: (0..partitions).map(|_| AtomicUsize::new(0)).collect(),
+            on_caller: (0..partitions).map(|_| AtomicUsize::new(0)).collect(),
+        };
+        let caller = thread::current().id();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            broadcast(partitions, &|w| {
+                record.runs[w].fetch_add(1, Ordering::SeqCst);
+                if thread::current().id() == caller {
+                    record.on_caller[w].fetch_add(1, Ordering::SeqCst);
+                }
+                if poison == Some(w) {
+                    panic!("partition {w} exploded");
+                }
+            });
+        }));
+        (record, outcome)
+    }
+
+    /// Every partition ran exactly once; partition 0 on the caller and
+    /// the rest on pooled workers, so the inline fallback (which runs
+    /// them all on the caller) cannot pass.
+    fn assert_ran_once_on_workers(record: &Record) {
+        for (w, (runs, on_caller)) in record.runs.iter().zip(&record.on_caller).enumerate() {
+            let runs = runs.load(Ordering::SeqCst);
+            assert_eq!(
+                runs, 1,
+                "partition {w} ran {runs}x before broadcast returned"
+            );
+            let on_caller = on_caller.load(Ordering::SeqCst);
+            assert_eq!(
+                on_caller,
+                usize::from(w == 0),
+                "partition {w}: {on_caller} runs on the dispatching thread"
+            );
+        }
+    }
+
+    #[test]
+    fn every_partition_runs_once_before_broadcast_returns() {
+        loom::model(|| {
+            let (record, outcome) = dispatch(4, None);
+            assert!(outcome.is_ok());
+            assert_ran_once_on_workers(&record);
+        });
+    }
+
+    #[test]
+    fn epochs_keep_reused_workers_exactly_once() {
+        loom::model(|| {
+            // The middle dispatch assigns fewer partitions than workers
+            // exist: the unassigned worker skips it and still runs the
+            // next one.
+            for partitions in [4, 2, 4] {
+                let (record, outcome) = dispatch(partitions, None);
+                assert!(outcome.is_ok());
+                assert_ran_once_on_workers(&record);
+            }
+        });
+    }
+
+    #[test]
+    fn worker_panic_is_delivered_after_the_barrier() {
+        loom::model(|| {
+            let (record, outcome) = dispatch(4, Some(2));
+            let Err(payload) = outcome else {
+                panic!("the worker's panic must reach the dispatcher");
+            };
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some("partition 2 exploded"));
+            assert_ran_once_on_workers(&record);
+            // The panic slot was taken: the pool is usable again.
+            let (record, outcome) = dispatch(4, None);
+            assert!(outcome.is_ok());
+            assert_ran_once_on_workers(&record);
+        });
     }
 }

@@ -278,10 +278,12 @@ pub(crate) fn end_round<E: Embedding>(
         })
         .map(|info| (info.params, info.id));
     match closest {
-        Some((params, id)) => {
-            secured.refresh_filter(params, id);
-            RoundEnd::Refreshed
-        }
+        Some((params, id)) => match secured.refresh_filter(params, id) {
+            Ok(()) => RoundEnd::Refreshed,
+            // Registered parameters come from EM calibration (or an
+            // ablation's transform of it); arming fails the same way.
+            Err(e) => panic!("Surveyor {id} published invalid filter parameters: {e}"),
+        },
         None => RoundEnd::Stale,
     }
 }
@@ -633,7 +635,9 @@ impl<B: Backend> SecuredSim<B> {
         };
         let mut secured = match SecureNode::new(inner, params, source, self.security) {
             Ok(secured) => secured,
-            Err(e) => panic!("security configuration is checked at construction: {e}"),
+            // The security config is checked at construction; the
+            // parameters come from EM calibration.
+            Err(e) => panic!("node {node} cannot be armed: {e}"),
         };
         // Prime the filter with the node's recent clean history so a
         // converged node is not mistaken for a freshly joining one.

@@ -138,8 +138,8 @@ struct StepEffect {
     /// [`ices_core::DetectorBank`] sweep, `(event, label_malicious)`:
     /// the innovation test of a sample, or a coast (`VetEvent::Missing`,
     /// label unused) over a missing sample or a defense rejection. The
-    /// sweep replays the exact per-node f64 op order of the scalar
-    /// `SecureNode::step` / `SecureNode::step_missing` calls.
+    /// sweep runs each node's events in their order, with the exact
+    /// per-node f64 ops of the scalar `Detector`.
     pending: Option<(VetEvent, bool)>,
 }
 

@@ -312,7 +312,7 @@ impl ServiceCore {
                     // First registration arms certification and the
                     // secured-update intake with the calibrated params.
                     if self.certifier.is_none() {
-                        self.certifier = Certifier::try_new(
+                        self.certifier = Certifier::new(
                             id,
                             self.config.auth_key,
                             self.config.cert_ttl,

@@ -11,10 +11,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use ices::core::{calibrate, Detector, EmConfig, StateSpaceParams};
+use ices::core::{calibrate, Detector, DetectorError, EmConfig, StateSpaceParams};
 use ices::stats::rng::stream_rng;
 
-fn main() {
+fn main() -> Result<(), DetectorError> {
     // ── 1. A clean trace ────────────────────────────────────────────
     // In the deployed system this trace is a Surveyor's own embedding
     // history. Here we draw it from a known model so we can check the
@@ -63,13 +63,13 @@ fn main() {
     let warmup = truth.simulate(500, &mut rng);
     let fresh = truth.simulate(2000, &mut rng);
 
-    let mut detector = Detector::new(p, 0.05);
+    let mut detector = Detector::new(p, 0.05)?;
     for &d in &warmup {
-        detector.assess(d);
+        detector.assess(d)?;
     }
     let mut flagged = 0;
     for &d in &fresh {
-        if detector.assess(d).suspicious {
+        if detector.assess(d)?.suspicious {
             flagged += 1;
         }
     }
@@ -85,7 +85,7 @@ fn main() {
     // — the attacker stays outside the confidence interval forever.
     let mut caught = 0;
     for &d in &fresh {
-        if detector.assess(d + 0.4).suspicious {
+        if detector.assess(d + 0.4)?.suspicious {
             caught += 1;
         }
     }
@@ -98,4 +98,5 @@ fn main() {
     println!("the detector accepts clean embedding steps at roughly the 1 − α rate");
     println!("and rejects tampered ones almost always; discarding rejected samples");
     println!("is what keeps the filter from being frog-boiled toward the attacker.");
+    Ok(())
 }

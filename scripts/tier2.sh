@@ -16,10 +16,10 @@ cargo test -q
 # `cargo test` above covers only the `ices` facade package.
 cargo test --workspace -q
 
-# Formatting of the simulation, benchmark and service crates (the
-# whole workspace is not gated: `cargo fmt --all` would also rewrite
-# the vendored shims).
-cargo fmt -p ices-sim -p ices-bench -p ices-svc -- --check
+# Formatting of the simulation, benchmark, service, core and pool
+# crates (the whole workspace is not gated: `cargo fmt --all` would
+# also rewrite the vendored shims).
+cargo fmt -p ices-sim -p ices-bench -p ices-svc -p ices-core -p ices-par -- --check
 
 # The NPS goldens, the pipeline goldens, the NPS driver's unit tests
 # (its own module and the shared secured-core tests, which run on both
@@ -57,11 +57,16 @@ scripts/audit.sh --json --strict-allows --baseline audit.baseline
 # suspicious groupings) fail the build here.
 cargo clippy --workspace --all-targets
 
-# Pool protocol model: re-runs the handoff protocol of
-# crates/par/src/pool.rs on loom's instrumented primitives across many
-# seeded schedules (see crates/par/tests/loom_pool.rs). Separate
-# RUSTFLAGS value, so this build does not share the default cache.
-RUSTFLAGS="--cfg loom" cargo test -q -p ices-par --test loom_pool
+# Pool protocol model: under `--cfg loom` crates/par/src/pool.rs takes
+# its handoff primitives from loom, and its `model` tests drive the real
+# `broadcast` across many seeded schedules. One test at a time: a
+# concurrent dispatch on the global pool runs inline. A name filter
+# that matches nothing passes silently, so the match count is checked
+# first. Separate RUSTFLAGS value, so this build does not share the
+# default cache.
+pool_model=(-q -p ices-par --lib -- pool::model --test-threads=1)
+test "$(RUSTFLAGS="--cfg loom" cargo test "${pool_model[@]}" --list | grep -c ': test$')" -gt 0
+RUSTFLAGS="--cfg loom" cargo test "${pool_model[@]}"
 
 # Unsafe-island validation under Miri when a Miri toolchain exists
 # (the stock container ships none): the pool's lifetime-erased

@@ -42,11 +42,13 @@
 //! // Calibrate by EM and arm the α = 5% innovation test.
 //! let calibrated = calibrate(&trace, StateSpaceParams::em_initial_guess(),
 //!                            &EmConfig::default());
-//! let mut detector = Detector::new(calibrated.params, 0.05);
+//! // Arming and testing return a typed `DetectorError` on invalid input.
+//! let mut detector = Detector::new(calibrated.params, 0.05)?;
 //!
 //! // Nominal steps pass, blatant manipulation is flagged.
-//! assert!(!detector.assess(truth.stationary_mean()).suspicious);
-//! assert!(detector.assess(5.0).suspicious);
+//! assert!(!detector.assess(truth.stationary_mean())?.suspicious);
+//! assert!(detector.assess(5.0)?.suspicious);
+//! # Ok::<(), ices::core::DetectorError>(())
 //! ```
 //!
 //! See `examples/` for full-system walkthroughs and `crates/bench` for

@@ -169,7 +169,7 @@ fn recalibration_trigger_then_refresh_resets_the_filter() {
         &EmConfig::default(),
     );
 
-    let mut filter = KalmanFilter::new(out.params);
+    let mut filter = KalmanFilter::new(out.params).unwrap();
     for &d in &clean[..500] {
         filter.update(d);
     }
@@ -196,10 +196,10 @@ fn recalibration_trigger_then_refresh_resets_the_filter() {
         StateSpaceParams::em_initial_guess(),
         &EmConfig::default(),
     );
-    let mut detector = Detector::new(out2.params, 0.05);
+    let mut detector = Detector::new(out2.params, 0.05).unwrap();
     let mut flagged = 0;
     for &d in &shifted[100..600] {
-        if detector.assess(d).suspicious {
+        if detector.assess(d).unwrap().suspicious {
             flagged += 1;
         }
     }
