@@ -21,9 +21,9 @@
 
 use ices_coord::Coordinate;
 use ices_stats::rng::{derive2, SimRng};
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use ices_stats::streams;
 
 /// Cross-verification configuration. The default is **off** — the
 /// paper's system has no such check; arming it is the experiment.
@@ -92,7 +92,13 @@ impl DefenseConfig {
     /// victim or the peer, from a stream keyed purely on
     /// `(seed, tick, victim, peer)` — identical at any worker count.
     /// Returns fewer than `witnesses` ids only in tiny populations.
-    pub fn draw_witnesses(&self, tick: u64, victim: usize, peer: usize, population: usize) -> Vec<usize> {
+    pub fn draw_witnesses(
+        &self,
+        tick: u64,
+        victim: usize,
+        peer: usize,
+        population: usize,
+    ) -> Vec<usize> {
         let mut rng = SimRng::from_stream(
             self.seed,
             derive2(streams::WTNS, tick, victim as u64),

@@ -25,9 +25,9 @@ use crate::adversary::{Adversary, TamperedSample};
 use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use ices_stats::streams;
 
 /// The coordinated eclipse attack.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -41,10 +41,10 @@ use crate::adversary::{Adversary, TamperedSample};
 use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use ices_stats::streams;
 
 /// Number of malicious reference points a layer needs before the attack
 /// activates there (the paper's experiments use 5).
@@ -150,10 +150,8 @@ impl NpsCollusionAttack {
                         .copied()
                         .filter(|&v| !self.malicious.contains(v))
                         .collect();
-                    let take =
-                        ((candidates.len() as f64) * self.victim_fraction).round() as usize;
-                    let mut rng =
-                        SimRng::from_stream(self.seed, layer as u64, streams::NPSV); // "VICT"
+                    let take = ((candidates.len() as f64) * self.victim_fraction).round() as usize;
+                    let mut rng = SimRng::from_stream(self.seed, layer as u64, streams::NPSV); // "VICT"
                     let chosen = ices_stats::sample::sample_indices(
                         &mut rng,
                         candidates.len(),
@@ -312,7 +310,9 @@ mod tests {
         let victim = a.victims().next().expect("victims");
         let vc = Coordinate::origin(Space::euclidean(8));
         let rtt = 80.0;
-        let t = a.intercept(1, victim, 0, &vc, 0.5, rtt, &vc).expect("tampered");
+        let t = a
+            .intercept(1, victim, 0, &vc, 0.5, rtt, &vc)
+            .expect("tampered");
         // Claimed standoff: (1 + drag)·rtt from the victim.
         let d = vc.distance(&t.coord);
         assert!(
@@ -332,12 +332,19 @@ mod tests {
         let a = activated();
         let victim = a.victims().next().expect("victims");
         let vc = Coordinate::origin(Space::euclidean(8));
-        let t1 = a.intercept(1, victim, 0, &vc, 0.5, 50.0, &vc).expect("tampered");
-        let t2 = a.intercept(2, victim, 0, &vc, 0.5, 100.0, &vc).expect("tampered");
+        let t1 = a
+            .intercept(1, victim, 0, &vc, 0.5, 50.0, &vc)
+            .expect("tampered");
+        let t2 = a
+            .intercept(2, victim, 0, &vc, 0.5, 100.0, &vc)
+            .expect("tampered");
         // Same direction, different standoffs: t2's position must be
         // exactly 2× t1's (both start from the origin).
         for (x1, x2) in t1.coord.position().iter().zip(t2.coord.position()) {
-            assert!((x2 - 2.0 * x1).abs() < 1e-9, "colluders disagree on direction");
+            assert!(
+                (x2 - 2.0 * x1).abs() < 1e-9,
+                "colluders disagree on direction"
+            );
         }
     }
 
@@ -350,7 +357,10 @@ mod tests {
         assert_ne!(u1, u2);
         for u in [&u1, &u2] {
             let norm = u.iter().map(|x| x * x).sum::<f64>().sqrt();
-            assert!((norm - 1.0).abs() < 1e-9, "push directions are unit vectors");
+            assert!(
+                (norm - 1.0).abs() < 1e-9,
+                "push directions are unit vectors"
+            );
         }
     }
 
@@ -362,8 +372,12 @@ mod tests {
         let victim = a.victims().next().expect("victims");
         let at_origin = Coordinate::origin(Space::euclidean(8));
         let moved = Coordinate::euclidean(vec![100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let t1 = a.intercept(1, victim, 0, &at_origin, 0.5, 50.0, &at_origin).expect("t");
-        let t2 = a.intercept(1, victim, 0, &at_origin, 0.5, 50.0, &moved).expect("t");
+        let t1 = a
+            .intercept(1, victim, 0, &at_origin, 0.5, 50.0, &at_origin)
+            .expect("t");
+        let t2 = a
+            .intercept(1, victim, 0, &at_origin, 0.5, 50.0, &moved)
+            .expect("t");
         assert_ne!(t1.coord, t2.coord, "the lie follows the victim");
         assert!((moved.distance(&t2.coord) - 200.0).abs() < 1e-9);
     }

@@ -28,9 +28,9 @@ use crate::adversary::{Adversary, TamperedSample};
 use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use ices_stats::streams;
 
 /// The calibrated slow-drift attack.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,11 +56,7 @@ impl SlowDriftAttack {
     ///
     /// # Panics
     /// Panics unless `drift_rate_ms > 0`.
-    pub fn new(
-        attackers: impl IntoIterator<Item = usize>,
-        drift_rate_ms: f64,
-        seed: u64,
-    ) -> Self {
+    pub fn new(attackers: impl IntoIterator<Item = usize>, drift_rate_ms: f64, seed: u64) -> Self {
         assert!(drift_rate_ms > 0.0, "drift rate must be positive");
         Self {
             attackers: attackers.into_iter().collect(),
@@ -165,7 +161,9 @@ mod tests {
         let a = attack();
         let c = coord(10.0, -5.0);
         let at = |tick| {
-            let t = a.intercept(1, 10, tick, &c, 0.4, 30.0, &c).expect("tampered");
+            let t = a
+                .intercept(1, 10, tick, &c, 0.4, 30.0, &c)
+                .expect("tampered");
             // Positions only: `distance` would add both heights on top.
             let diff: Vec<f64> = t
                 .coord
@@ -192,7 +190,9 @@ mod tests {
         assert_eq!(a.drift_accumulated_ms(100), 0.0, "starts from the truth");
         assert_eq!(a.drift_accumulated_ms(120), 10.0, "0.5 ms × 20 ticks");
         let c = coord(1.0, 1.0);
-        let t = a.intercept(1, 10, 100, &c, 0.4, 30.0, &c).expect("tampered");
+        let t = a
+            .intercept(1, 10, 100, &c, 0.4, 30.0, &c)
+            .expect("tampered");
         assert_eq!(t.coord.position(), c.position(), "first sample is honest");
     }
 

@@ -23,9 +23,9 @@ use crate::adversary::{Adversary, TamperedSample};
 use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use ices_stats::streams;
 
 /// The coordinated Sybil swarm.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,7 +68,10 @@ impl SybilSwarmAttack {
         seed: u64,
     ) -> Self {
         assert!(anchor_distance_ms > 0.0, "anchor distance must be positive");
-        assert!(cluster_spread_ms >= 0.0, "cluster spread must not be negative");
+        assert!(
+            cluster_spread_ms >= 0.0,
+            "cluster spread must not be negative"
+        );
         assert!(dims >= 1, "claimed positions need at least one dimension");
         let mut swarm = Self {
             sybils: sybils.into_iter().collect(),

@@ -23,9 +23,9 @@ use crate::adversary::{Adversary, TamperedSample};
 use crate::node_set::NodeSet;
 use ices_coord::Coordinate;
 use ices_stats::rng::SimRng;
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use ices_stats::streams;
 
 /// The colluding isolation attack.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -112,11 +112,8 @@ impl VivaldiIsolationAttack {
         // with per-attacker jitter so the fakes do not coincide.
         let mut victim_rng = SimRng::from_stream(self.seed, victim as u64, streams::VICT); // "VICT"
         let base_angle = victim_rng.random::<f64>() * std::f64::consts::TAU;
-        let mut rng = SimRng::from_stream(
-            self.seed,
-            attacker as u64,
-            victim as u64 ^ streams::LIES,
-        );
+        let mut rng =
+            SimRng::from_stream(self.seed, attacker as u64, victim as u64 ^ streams::LIES);
         let angle = base_angle + (rng.random::<f64>() - 0.5) * 0.5;
         let (lo, hi) = self.standoff;
         let radius = self.zone_radius * (lo + (hi - lo) * rng.random::<f64>());

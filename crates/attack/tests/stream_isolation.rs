@@ -12,8 +12,8 @@
 //! tests mirror the two call sites exactly and pin the streams apart.
 
 use ices_stats::rng::SimRng;
-use rand::RngExt;
 use ices_stats::streams;
+use rand::RngExt;
 
 /// The exact derivation each attack performs for index `i` under
 /// `seed` (argument order matches both call sites).

@@ -195,9 +195,7 @@ impl Cursor {
         while let Some(c) = self.peek(0) {
             if is_ident_continue(c) {
                 self.i += 1;
-            } else if c == '.'
-                && self.peek(1).map(|d| d.is_ascii_digit()).unwrap_or(false)
-            {
+            } else if c == '.' && self.peek(1).map(|d| d.is_ascii_digit()).unwrap_or(false) {
                 self.i += 1; // fraction part follows
             } else if (c == '+' || c == '-')
                 && self
@@ -219,7 +217,9 @@ impl Cursor {
 /// identifier)? Covers `r"`, `r#"`, `b"`, `br#"`, `b'`, `c"`, `cr#"`.
 fn literal_prefix(word: &str, next: Option<char>) -> bool {
     match word {
-        "r" | "b" | "br" | "c" | "cr" => matches!(next, Some('"') | Some('#')) || (word == "b" && next == Some('\'')),
+        "r" | "b" | "br" | "c" | "cr" => {
+            matches!(next, Some('"') | Some('#')) || (word == "b" && next == Some('\''))
+        }
         _ => false,
     }
 }

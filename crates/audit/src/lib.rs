@@ -496,10 +496,7 @@ mod tests {
         let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(&here).unwrap_or_default();
         let targets = workspace_targets(&root);
-        let mut crates: Vec<&str> = targets
-            .iter()
-            .map(|(_, c)| c.crate_name.as_str())
-            .collect();
+        let mut crates: Vec<&str> = targets.iter().map(|(_, c)| c.crate_name.as_str()).collect();
         crates.dedup();
         for expected in ["audit", "coord", "core", "par", "sim", "ices"] {
             assert!(crates.contains(&expected), "missing {expected}: {crates:?}");

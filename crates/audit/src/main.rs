@@ -81,7 +81,9 @@ fn main() -> ExitCode {
     }
 
     let targets = if workspace {
-        let start = root_override.clone().or_else(|| std::env::current_dir().ok());
+        let start = root_override
+            .clone()
+            .or_else(|| std::env::current_dir().ok());
         let Some(start) = start else {
             eprintln!("ices-audit: cannot determine a starting directory");
             return ExitCode::from(2);
@@ -104,7 +106,10 @@ fn main() -> ExitCode {
 
     if let Some(path) = &write_baseline {
         if let Err(err) = std::fs::write(path, render_baseline(&report)) {
-            eprintln!("ices-audit: cannot write baseline {}: {err}", path.display());
+            eprintln!(
+                "ices-audit: cannot write baseline {}: {err}",
+                path.display()
+            );
             return ExitCode::from(2);
         }
         eprintln!("ices-audit: baseline written to {}", path.display());

@@ -59,7 +59,15 @@ pub const PAR_ENTRY_POINTS: [&str; 4] = ["par_map", "par_map_mut", "par_for_indi
 /// Obs mutation surface: registry writes plus journal record methods.
 /// A call to any of these inside a parallel closure is an OBS02 finding.
 pub const OBS_MUTATORS: [&str; 10] = [
-    "inc", "add", "set", "observe", "meta", "tick", "phase", "node_event", "pair_event",
+    "inc",
+    "add",
+    "set",
+    "observe",
+    "meta",
+    "tick",
+    "phase",
+    "node_event",
+    "pair_event",
     "summary",
 ];
 
@@ -67,7 +75,12 @@ pub const OBS_MUTATORS: [&str; 10] = [
 /// (for 4-char string/byte-string tags; ASCII-hex tag literals are
 /// flagged wherever they appear).
 pub const STREAM_CTORS: [&str; 6] = [
-    "stream_rng", "stream_rng2", "from_stream", "derive", "derive2", "splitmix64",
+    "stream_rng",
+    "stream_rng2",
+    "from_stream",
+    "derive",
+    "derive2",
+    "splitmix64",
 ];
 
 /// Crates whose simulation state must stay bit-for-bit reproducible.
@@ -363,9 +376,7 @@ fn parse_allows(ctx: &FileContext, comments: &[Comment]) -> (Vec<AllowEntry>, Ve
                     file: ctx.path.clone(),
                     line: comment.line,
                     rule: "ALLOW01".into(),
-                    message: format!(
-                        "audit:allow({rule}) is missing its mandatory `: reason`"
-                    ),
+                    message: format!("audit:allow({rule}) is missing its mandatory `: reason`"),
                     suppressed: false,
                     reason: String::new(),
                     severity: Severity::Error,
@@ -385,7 +396,6 @@ fn parse_allows(ctx: &FileContext, comments: &[Comment]) -> (Vec<AllowEntry>, Ve
     }
     (allows, malformed)
 }
-
 
 /// Keywords that may directly precede a `[` without making it an index
 /// expression (`return [..]`, `else [..]`, `in [..]`, ...).
@@ -636,10 +646,7 @@ fn collect_str_tags(nodes: &[Tree], sites: &mut Vec<TagSite>) {
 
 /// Parse a `u64` literal (hex or decimal, underscores/suffix ok).
 fn parse_u64_literal(text: &str) -> Option<u64> {
-    let (radix, digits) = match text
-        .strip_prefix("0x")
-        .or_else(|| text.strip_prefix("0X"))
-    {
+    let (radix, digits) = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
         Some(hex) => (16, hex),
         None => (10, text),
     };
@@ -759,7 +766,11 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
         let line = tokens[i].line;
         match word {
             "HashMap" | "HashSet" if critical => {
-                let alt = if word == "HashMap" { "BTreeMap" } else { "BTreeSet" };
+                let alt = if word == "HashMap" {
+                    "BTreeMap"
+                } else {
+                    "BTreeSet"
+                };
                 push(
                     "DET01",
                     line,
@@ -1113,10 +1124,7 @@ mod tests {
     fn det02_exempts_bench() {
         let src = "let t = Instant::now();\nlet r = thread_rng();\n";
         let r = audit_source(&lib_ctx(), src);
-        assert_eq!(
-            rules_of(&r),
-            [("DET02", 1, false), ("DET02", 2, false)]
-        );
+        assert_eq!(rules_of(&r), [("DET02", 1, false), ("DET02", 2, false)]);
         let mut bench = lib_ctx();
         bench.crate_name = "bench".into();
         assert!(audit_source(&bench, src).findings.is_empty());
@@ -1140,7 +1148,11 @@ mod tests {
         let r = audit_source(&lib_ctx(), src);
         assert_eq!(
             rules_of(&r),
-            [("DET02", 1, false), ("DET02", 2, false), ("DET02", 3, false)]
+            [
+                ("DET02", 1, false),
+                ("DET02", 2, false),
+                ("DET02", 3, false)
+            ]
         );
         assert!(r.findings.iter().all(|f| f.message.contains("crates/svc")));
         // bench keeps its wall-clock license but gets no socket license.
@@ -1148,7 +1160,11 @@ mod tests {
         bench.crate_name = "bench".into();
         assert_eq!(
             rules_of(&audit_source(&bench, src)),
-            [("DET02", 1, false), ("DET02", 2, false), ("DET02", 3, false)]
+            [
+                ("DET02", 1, false),
+                ("DET02", 2, false),
+                ("DET02", 3, false)
+            ]
         );
         let mut svc = lib_ctx();
         svc.crate_name = "svc".into();
@@ -1230,7 +1246,10 @@ mod tests {
         // Everyone else must still forbid — deny is not enough.
         let mut other = lib_ctx();
         other.is_crate_root = true;
-        assert_eq!(rules_of(&audit_source(&other, deny)), [("SAFE01", 1, false)]);
+        assert_eq!(
+            rules_of(&audit_source(&other, deny)),
+            [("SAFE01", 1, false)]
+        );
         // And par with neither attribute is still flagged.
         let bare = "pub fn f() {}\n";
         assert_eq!(rules_of(&audit_source(&par, bare)), [("SAFE01", 1, false)]);
@@ -1284,10 +1303,7 @@ mod tests {
     fn panic02_flags_indexing_after_call_and_nested_index() {
         let src = "pub fn f(v: &[Vec<f64>]) -> f64 {\n    v.to_vec()[0][1]\n}\n";
         let r = audit_source(&lib_ctx(), src);
-        assert_eq!(
-            rules_of(&r),
-            [("PANIC02", 2, false), ("PANIC02", 2, false)]
-        );
+        assert_eq!(rules_of(&r), [("PANIC02", 2, false), ("PANIC02", 2, false)]);
     }
 
     #[test]
@@ -1316,7 +1332,8 @@ mod tests {
     fn obs02_non_closure_arguments_are_not_closure_bodies() {
         // The mutation happens *before* the parallel phase, while the
         // argument is evaluated — only closure bodies are policed.
-        let src = "pub fn f(reg: &Registry, xs: &[u8]) {\n    par_map(reg.snapshot(), |x| x + 1);\n}\n";
+        let src =
+            "pub fn f(reg: &Registry, xs: &[u8]) {\n    par_map(reg.snapshot(), |x| x + 1);\n}\n";
         let r = audit_source(&lib_ctx(), src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
@@ -1362,10 +1379,7 @@ mod tests {
             .iter()
             .map(|d| (d.name.as_str(), d.value, d.line))
             .collect();
-        assert_eq!(
-            decls,
-            [("VICT", 0x5649_4354, 1), ("NPSV", 0x4E50_5356, 2)]
-        );
+        assert_eq!(decls, [("VICT", 0x5649_4354, 1), ("NPSV", 0x4E50_5356, 2)]);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! right `file:line`, through the library API and through the binary
 //! (which must exit nonzero on it).
 
-use ices_audit::{adhoc_targets, adhoc_targets_as, audit_targets, audit_targets_with, AuditOptions, Report};
 use ices_audit::rules::Severity;
+use ices_audit::{
+    adhoc_targets, adhoc_targets_as, audit_targets, audit_targets_with, AuditOptions, Report,
+};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -142,7 +144,10 @@ fn det02_and_panic01_cover_the_attack_crate() {
     // `(seed, tick, victim, peer)` streams — a wall-clock read or a
     // stray unwrap in `crates/attack` would break bit-identical replay,
     // so the attack context must keep both rules armed.
-    for (name, rule, line) in [("det02_clock.rs", "DET02", 4), ("panic01_unwrap.rs", "PANIC01", 4)] {
+    for (name, rule, line) in [
+        ("det02_clock.rs", "DET02", 4),
+        ("panic01_unwrap.rs", "PANIC01", 4),
+    ] {
         let targets = adhoc_targets_as(&[fixture(name)], "attack");
         let report = audit_targets(&targets);
         assert_eq!(
@@ -212,7 +217,10 @@ fn allow01_fixture_reports_malformed_allow_and_keeps_the_finding() {
         rules.contains(&("PANIC01", 4, false)),
         "a malformed allow must not suppress: {rules:?}"
     );
-    assert!(report.allows.is_empty(), "malformed allows are not inventoried");
+    assert!(
+        report.allows.is_empty(),
+        "malformed allows are not inventoried"
+    );
 }
 
 #[test]
@@ -293,7 +301,12 @@ fn stream01_fixture_flags_hex_and_ctor_string_tags() {
         .iter()
         .map(|f| (f.rule.as_str(), f.line))
         .collect();
-    assert_eq!(got, [("STREAM01", 10), ("STREAM01", 11)], "{:?}", report.findings);
+    assert_eq!(
+        got,
+        [("STREAM01", 10), ("STREAM01", 11)],
+        "{:?}",
+        report.findings
+    );
     assert!(report.is_dirty());
 }
 
@@ -305,8 +318,17 @@ fn stream01_duplicate_registry_fixture_flags_both_declarations() {
         .iter()
         .map(|f| (f.rule.as_str(), f.line))
         .collect();
-    assert_eq!(got, [("STREAM01", 5), ("STREAM01", 6)], "{:?}", report.findings);
-    assert!(report.findings[0].message.contains("NPSV"), "{:?}", report.findings);
+    assert_eq!(
+        got,
+        [("STREAM01", 5), ("STREAM01", 6)],
+        "{:?}",
+        report.findings
+    );
+    assert!(
+        report.findings[0].message.contains("NPSV"),
+        "{:?}",
+        report.findings
+    );
     assert!(report.is_dirty());
 }
 
@@ -318,9 +340,20 @@ fn stream01_dead_constant_fixture_flags_the_unused_tag() {
     let got: Vec<(&str, &str, u32)> = report
         .findings
         .iter()
-        .map(|f| (f.file.rsplit('/').next().unwrap_or(""), f.rule.as_str(), f.line))
+        .map(|f| {
+            (
+                f.file.rsplit('/').next().unwrap_or(""),
+                f.rule.as_str(),
+                f.line,
+            )
+        })
         .collect();
-    assert_eq!(got, [("streams.rs", "STREAM01", 5)], "{:?}", report.findings);
+    assert_eq!(
+        got,
+        [("streams.rs", "STREAM01", 5)],
+        "{:?}",
+        report.findings
+    );
     assert!(
         report.findings[0].message.contains("CHRN"),
         "{:?}",

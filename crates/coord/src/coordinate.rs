@@ -147,7 +147,10 @@ impl Coordinate {
             position: vector::scale(&self.position, s),
             height: (self.height * s).max(0.0),
         };
-        debug_assert!(out.is_finite(), "scaling by {s} produced a non-finite coordinate");
+        debug_assert!(
+            out.is_finite(),
+            "scaling by {s} produced a non-finite coordinate"
+        );
         out
     }
 

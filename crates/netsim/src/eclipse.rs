@@ -23,10 +23,10 @@
 //! un-eclipsed run.
 
 use ices_stats::rng::{derive2, SimRng};
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use ices_stats::streams;
 
 /// A deterministic registrar-poisoning plan.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -145,11 +145,8 @@ impl EclipsePlan {
         if !self.is_victim(victim) {
             return None;
         }
-        let mut rng = SimRng::from_stream(
-            self.seed,
-            derive2(streams::ECLR, victim as u64, nonce),
-            0,
-        );
+        let mut rng =
+            SimRng::from_stream(self.seed, derive2(streams::ECLR, victim as u64, nonce), 0);
         if rng.random::<f64>() >= self.strength {
             return None;
         }

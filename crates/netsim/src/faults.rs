@@ -26,9 +26,9 @@
 //! as before.
 
 use ices_stats::rng::{derive, derive2};
+use ices_stats::streams;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use ices_stats::streams;
 
 /// The outcome of a fallible probe.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -310,8 +310,14 @@ mod tests {
     fn probe_fate_is_deterministic_and_direction_symmetric() {
         let plan = FaultPlan::lossy(0.3, 0.1);
         for nonce in 0..200 {
-            assert_eq!(plan.probe_fate(9, 4, 17, nonce), plan.probe_fate(9, 4, 17, nonce));
-            assert_eq!(plan.probe_fate(9, 4, 17, nonce), plan.probe_fate(9, 17, 4, nonce));
+            assert_eq!(
+                plan.probe_fate(9, 4, 17, nonce),
+                plan.probe_fate(9, 4, 17, nonce)
+            );
+            assert_eq!(
+                plan.probe_fate(9, 4, 17, nonce),
+                plan.probe_fate(9, 17, 4, nonce)
+            );
         }
     }
 
@@ -353,9 +359,7 @@ mod tests {
         }
         // Across many epochs the downtime fraction approaches 25%.
         let epochs = 8000u64;
-        let down = (0..epochs)
-            .filter(|&e| !plan.node_up(5, 2, e * 8))
-            .count();
+        let down = (0..epochs).filter(|&e| !plan.node_up(5, 2, e * 8)).count();
         let rate = down as f64 / epochs as f64;
         assert!((rate - 0.25).abs() < 0.02, "downtime rate {rate}");
     }

@@ -214,13 +214,7 @@ impl KingConfig {
     /// # Panics
     /// Panics if `lo` or `hi` is out of the placement.
     #[inline]
-    fn pair_transform(
-        &self,
-        placement: &Placement,
-        lo: usize,
-        hi: usize,
-        draw: PairDraw,
-    ) -> f64 {
+    fn pair_transform(&self, placement: &Placement, lo: usize, hi: usize, draw: PairDraw) -> f64 {
         let distortion = if self.distorted() {
             let sigma = StdDev::new(self.distortion_sigma);
             draw.detour_exponent(draw.point.s.ln(), self.distortion_bias, sigma)

@@ -13,11 +13,11 @@ use crate::planetlab::PlanetLab;
 use crate::rtt::{RttSource, RttStore, SynthRtt};
 use crate::topology::RttMatrix;
 use ices_stats::rng::{derive, stream_rng};
+use ices_stats::streams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-use ices_stats::streams;
 
 /// A simulated network that serves noisy RTT measurements.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -623,7 +623,11 @@ fn smoothed_nonces(nonce: u64) -> [u64; 3] {
 /// The median of three values under [`f64::total_cmp`] — the middle
 /// element of the three sorted, bit for bit.
 fn median3(a: f64, b: f64, c: f64) -> f64 {
-    let (lo, hi) = if a.total_cmp(&b).is_le() { (a, b) } else { (b, a) };
+    let (lo, hi) = if a.total_cmp(&b).is_le() {
+        (a, b)
+    } else {
+        (b, a)
+    };
     if c.total_cmp(&hi).is_ge() {
         hi
     } else if c.total_cmp(&lo).is_le() {
@@ -840,7 +844,9 @@ mod tests {
                     expected
                 );
                 assert_eq!(
-                    net.try_measure_rtt_smoothed(a, b, nonce, 0).ok().map(f64::to_bits),
+                    net.try_measure_rtt_smoothed(a, b, nonce, 0)
+                        .ok()
+                        .map(f64::to_bits),
                     Some(expected)
                 );
             }
@@ -943,7 +949,10 @@ mod tests {
                 } else {
                     ProbeOutcome::TimedOut
                 };
-                assert_eq!(driven, expected, "mask + link gate ({a}, {b}, {nonce}, {tick})");
+                assert_eq!(
+                    driven, expected,
+                    "mask + link gate ({a}, {b}, {nonce}, {tick})"
+                );
                 // The single-probe gate draws the same fate.
                 let single = net.try_measure_rtt(a, b, nonce, tick);
                 match expected {
@@ -1014,7 +1023,11 @@ mod tests {
                 for &c in &values {
                     let mut sorted = [a, b, c];
                     sorted.sort_by(f64::total_cmp);
-                    assert_eq!(median3(a, b, c).to_bits(), sorted[1].to_bits(), "{a} {b} {c}");
+                    assert_eq!(
+                        median3(a, b, c).to_bits(),
+                        sorted[1].to_bits(),
+                        "{a} {b} {c}"
+                    );
                 }
             }
         }
@@ -1052,7 +1065,10 @@ mod tests {
                 assert_eq!(rtt, clean.measure_rtt_smoothed(2, 9, nonce));
             }
         }
-        assert!(completed > 80, "~60% of probes should complete: {completed}");
+        assert!(
+            completed > 80,
+            "~60% of probes should complete: {completed}"
+        );
     }
 
     #[test]
@@ -1114,7 +1130,10 @@ mod tests {
         let dense = Network::from_king(config.clone().generate(9), 9);
         let streamed = Network::from_king_streamed(config, 9);
         assert!(dense.matrix().is_some());
-        assert!(streamed.matrix().is_none(), "no O(n²) state in a streamed net");
+        assert!(
+            streamed.matrix().is_none(),
+            "no O(n²) state in a streamed net"
+        );
         assert_eq!(streamed.len(), 40);
         for nonce in 0..16 {
             assert_eq!(
@@ -1149,7 +1168,10 @@ mod tests {
                 completed += 1;
             }
         }
-        assert!(completed > 40 && completed < 100, "faults gate probes: {completed}");
+        assert!(
+            completed > 40 && completed < 100,
+            "faults gate probes: {completed}"
+        );
         let json = serde_json::to_string(&net).expect("serialize");
         let back: Network = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(net, back);

@@ -12,8 +12,8 @@ use crate::fluctuation::{FluctuationModel, NoiseProfile};
 use crate::kinggen::{KingConfig, Topology};
 use ices_stats::rng::stream_rng;
 use ices_stats::sample;
-use serde::{Deserialize, Serialize};
 use ices_stats::streams;
+use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic PlanetLab deployment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -19,9 +19,9 @@
 use crate::kinggen::{KingConfig, Placement};
 use crate::topology::RttMatrix;
 use ices_stats::rng::stream_rng;
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use ices_stats::streams;
 
 /// A source of pairwise base RTTs.
 ///
@@ -312,7 +312,11 @@ mod tests {
                 let rtt = synth.base_rtt(a, b);
                 assert!(rtt.is_finite() && rtt > 0.0, "({a},{b}) gave {rtt}");
                 assert_eq!(rtt.to_bits(), synth.base_rtt(b, a).to_bits(), "asymmetric");
-                assert_eq!(rtt.to_bits(), again.base_rtt(a, b).to_bits(), "seed-unstable");
+                assert_eq!(
+                    rtt.to_bits(),
+                    again.base_rtt(a, b).to_bits(),
+                    "seed-unstable"
+                );
                 if rtt.to_bits() != other.base_rtt(a, b).to_bits() {
                     differs = true;
                 }
@@ -348,7 +352,11 @@ mod tests {
         let synth = SynthRtt::new(config, 21);
         let exact = topo.matrix.median();
         let estimate = synth.sampled_median(MEDIAN_SAMPLES);
-        assert_eq!(estimate, synth.sampled_median(MEDIAN_SAMPLES), "not deterministic");
+        assert_eq!(
+            estimate,
+            synth.sampled_median(MEDIAN_SAMPLES),
+            "not deterministic"
+        );
         assert!(
             (estimate - exact).abs() / exact < 0.25,
             "estimate {estimate} vs exact {exact}"

@@ -129,5 +129,8 @@ fn million_node_streamed_network_answers_a_probe_storm() {
             checksum += network.base_rtt(a, b);
         }
     }
-    assert!(checksum.is_finite() && checksum > 0.0, "checksum {checksum}");
+    assert!(
+        checksum.is_finite() && checksum > 0.0,
+        "checksum {checksum}"
+    );
 }

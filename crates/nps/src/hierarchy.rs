@@ -9,8 +9,8 @@
 use crate::config::NpsConfig;
 use ices_stats::rng::stream_rng;
 use ices_stats::sample::sample_indices;
-use serde::{Deserialize, Serialize};
 use ices_stats::streams;
+use serde::{Deserialize, Serialize};
 
 /// A node's role in the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

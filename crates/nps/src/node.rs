@@ -6,9 +6,9 @@ use crate::simplex::NelderMeadStats;
 use ices_coord::{relative_error, Coordinate, Embedding, PeerSample, StepOutcome};
 use ices_stats::ewma::Ewma;
 use ices_stats::rng::SimRng;
+use ices_stats::streams;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use ices_stats::streams;
 use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 

@@ -144,7 +144,10 @@ impl Journal {
     pub fn meta(&mut self, t: u64, driver: &str, nodes: usize, seed: u64) {
         self.line.clear();
         use std::fmt::Write as _;
-        let _ = write!(self.line, "{{\"t\":{t},\"ev\":\"meta\",\"v\":{SCHEMA_VERSION},\"driver\":");
+        let _ = write!(
+            self.line,
+            "{{\"t\":{t},\"ev\":\"meta\",\"v\":{SCHEMA_VERSION},\"driver\":"
+        );
         push_json_str(&mut self.line, driver);
         let _ = write!(self.line, ",\"nodes\":{nodes},\"seed\":{seed}}}");
         self.write_line();
@@ -324,7 +327,10 @@ mod tests {
                 serde_json::from_str(line).unwrap_or_else(|e| panic!("bad JSON {line:?}: {e:?}"));
         }
         assert!(lines[1].contains("\"probe.ok\":3"));
-        assert!(!lines[1].contains("nan"), "non-finite gauges must be omitted");
+        assert!(
+            !lines[1].contains("nan"),
+            "non-finite gauges must be omitted"
+        );
     }
 
     #[test]

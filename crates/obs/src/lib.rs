@@ -85,8 +85,7 @@ pub mod names {
     pub const RELATIVE_ERROR: &str = "embed.relative_error";
 
     /// Bucket bounds for [`RELATIVE_ERROR`].
-    pub const RELATIVE_ERROR_BOUNDS: &[f64] =
-        &[0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0];
+    pub const RELATIVE_ERROR_BOUNDS: &[f64] = &[0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0];
 
     /// Service daemon (`ices-svc`) traffic. Names stay within the wire
     /// codec's 32-byte counter-name cap so a `StatsReply` can carry

@@ -199,9 +199,8 @@ pub fn parse(text: &str) -> (RunJournal, Vec<String>) {
                         for (name, v) in g {
                             match as_f64(v) {
                                 Some(x) => row.gauges.push((name.clone(), x)),
-                                None => errors.push(format!(
-                                    "line {lineno}: gauge {name:?} is not a number"
-                                )),
+                                None => errors
+                                    .push(format!("line {lineno}: gauge {name:?} is not a number")),
                             }
                         }
                     }
@@ -343,7 +342,10 @@ mod tests {
         let (run, errors) = parse(GOOD);
         assert!(errors.is_empty(), "{errors:?}");
         let meta = run.meta.as_ref().unwrap();
-        assert_eq!((meta.driver.as_str(), meta.nodes, meta.seed), ("vivaldi", 70, 61));
+        assert_eq!(
+            (meta.driver.as_str(), meta.nodes, meta.seed),
+            ("vivaldi", 70, 61)
+        );
         assert_eq!(run.ticks.len(), 2);
         assert_eq!(run.event_count("reject"), 1);
         assert_eq!(run.phases.len(), 1);
@@ -373,7 +375,10 @@ mod tests {
         let (_, errors) = parse(bad);
         let text = errors.join("\n");
         assert!(text.contains("line 1: schema version 9"), "{text}");
-        assert!(text.contains("line 3: timestamp 3 goes backwards"), "{text}");
+        assert!(
+            text.contains("line 3: timestamp 3 goes backwards"),
+            "{text}"
+        );
         assert!(text.contains("unknown event tag \"wat\""), "{text}");
         assert!(text.contains("line 4: invalid JSON"), "{text}");
     }
@@ -381,6 +386,9 @@ mod tests {
     #[test]
     fn missing_meta_is_an_error() {
         let (_, errors) = parse("{\"t\":0,\"ev\":\"tick\",\"d\":{},\"g\":{}}\n");
-        assert!(errors.iter().any(|e| e.contains("no \"meta\" line")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("no \"meta\" line")),
+            "{errors:?}"
+        );
     }
 }

@@ -71,8 +71,7 @@ fn killed_run_keeps_flushed_prefix_intact() {
         .unwrap_or_else(|e| panic!("re-exec: {e}"));
     assert!(status.success(), "child aborted abnormally: {status}");
 
-    let contents =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let contents = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
     let _ = std::fs::remove_file(&path);
     assert_lines_are_whole_json(&contents);
     let lines: Vec<&str> = contents.lines().collect();
@@ -96,8 +95,7 @@ fn panicking_run_flushes_on_drop() {
     let path = scratch_path("journal_unwind");
     let _ = std::fs::remove_file(&path);
     let result = std::panic::catch_unwind(|| {
-        let mut j =
-            Journal::to_file(&path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
+        let mut j = Journal::to_file(&path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
         j.meta(0, "unwind", 4, 61);
         for t in 1..=3 {
             j.tick(t, &[("probe.ok", t)], &[]);
@@ -108,8 +106,7 @@ fn panicking_run_flushes_on_drop() {
     });
     assert!(result.is_err(), "the journaled run was supposed to panic");
 
-    let contents =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let contents = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
     let _ = std::fs::remove_file(&path);
     assert_lines_are_whole_json(&contents);
     let lines: Vec<&str> = contents.lines().collect();
@@ -125,15 +122,21 @@ fn explicit_flush_is_idempotent_and_keeps_journal_usable() {
     j.meta(0, "flush", 1, 61);
     j.flush();
     j.flush();
-    let on_disk =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
-    assert_eq!(on_disk.lines().count(), 1, "flush did not push the meta line");
+    let on_disk = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    assert_eq!(
+        on_disk.lines().count(),
+        1,
+        "flush did not push the meta line"
+    );
     j.tick(1, &[], &[]);
     j.flush();
     assert!(!j.errored(), "flushing flipped the error flag");
-    let on_disk =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let on_disk = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
     let _ = std::fs::remove_file(&path);
-    assert_eq!(on_disk.lines().count(), 2, "post-flush writes must still land");
+    assert_eq!(
+        on_disk.lines().count(),
+        2,
+        "post-flush writes must still land"
+    );
     assert_lines_are_whole_json(&on_disk);
 }

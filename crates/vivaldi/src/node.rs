@@ -4,8 +4,8 @@ use crate::config::VivaldiConfig;
 use ices_coord::{relative_error_of, Coordinate, Embedding, PeerSample, StepOutcome};
 use ices_stats::ewma::WeightedEwma;
 use ices_stats::rng::SimRng;
-use serde::{Deserialize, Serialize};
 use ices_stats::streams;
+use serde::{Deserialize, Serialize};
 
 /// Per-node Vivaldi state: coordinate, local error estimate, and a private
 /// random stream (used only to break symmetry between colocated nodes).

@@ -23,13 +23,7 @@ fn scenario(seed: u64, malicious: f64, detection: bool) -> ScenarioConfig {
 }
 
 fn build_attack(sim: &NpsSimulation, seed: u64) -> NpsCollusionAttack {
-    let mut attack = NpsCollusionAttack::new(
-        sim.malicious().iter().copied(),
-        8,
-        3.0,
-        0.5,
-        seed,
-    );
+    let mut attack = NpsCollusionAttack::new(sim.malicious().iter().copied(), 8, 3.0, 0.5, seed);
     attack.observe_hierarchy(&sim.serving_map(), &sim.layer_members());
     attack
 }
