@@ -2,7 +2,7 @@
 //! colluding isolation attack, one curve per malicious-population size,
 //! one tick per significance level.
 
-use ices_bench::{load_or_run_sweep, print_header, HarnessOptions};
+use ices_bench::{print_header, write_result, HarnessOptions};
 use ices_sim::experiments::detection::{fig9_12_vivaldi_sweep, PAPER_ALPHAS, PAPER_FRACTIONS};
 
 fn main() {
@@ -11,9 +11,8 @@ fn main() {
         &options,
         "Fig 9: ROC curves (Vivaldi, colluding isolation attack)",
     );
-    let sweep = load_or_run_sweep(&options, "sweep_vivaldi", || {
-        fig9_12_vivaldi_sweep(&options.scale, &PAPER_FRACTIONS, &PAPER_ALPHAS)
-    });
+    let sweep = fig9_12_vivaldi_sweep(&options.scale, &PAPER_FRACTIONS, &PAPER_ALPHAS);
+    write_result(&options, "sweep_vivaldi", &sweep);
 
     for &fraction in &PAPER_FRACTIONS {
         let roc = sweep.roc_for(fraction);

@@ -1,15 +1,14 @@
 //! Fig 12 — false negative rate vs malicious-population size, per
 //! significance level.
 
-use ices_bench::{load_or_run_sweep, print_header, HarnessOptions};
+use ices_bench::{print_header, write_result, HarnessOptions};
 use ices_sim::experiments::detection::{fig9_12_vivaldi_sweep, PAPER_ALPHAS, PAPER_FRACTIONS};
 
 fn main() {
     let options = HarnessOptions::from_args();
     print_header(&options, "Fig 12: false negative rate (Vivaldi)");
-    let sweep = load_or_run_sweep(&options, "sweep_vivaldi", || {
-        fig9_12_vivaldi_sweep(&options.scale, &PAPER_FRACTIONS, &PAPER_ALPHAS)
-    });
+    let sweep = fig9_12_vivaldi_sweep(&options.scale, &PAPER_FRACTIONS, &PAPER_ALPHAS);
+    write_result(&options, "sweep_vivaldi", &sweep);
 
     print!("{:>12}", "malicious");
     for &alpha in &PAPER_ALPHAS {

@@ -1,7 +1,7 @@
 //! Fig 14 — ROC curves of the detection test securing NPS under the
 //! colluding reference-point attack with anti-detection.
 
-use ices_bench::{load_or_run_sweep, print_header, HarnessOptions};
+use ices_bench::{print_header, write_result, HarnessOptions};
 use ices_sim::experiments::detection::{
     fig14_nps_sweep, fig14_nps_sweep_with_drag, NPS_DRAG_STEALTHY, PAPER_ALPHAS, PAPER_FRACTIONS,
 };
@@ -12,9 +12,8 @@ fn main() {
         &options,
         "Fig 14: ROC curves (NPS, colluding RP attack with anti-detection)",
     );
-    let sweep = load_or_run_sweep(&options, "sweep_nps", || {
-        fig14_nps_sweep(&options.scale, &PAPER_FRACTIONS, &PAPER_ALPHAS)
-    });
+    let sweep = fig14_nps_sweep(&options.scale, &PAPER_FRACTIONS, &PAPER_ALPHAS);
+    write_result(&options, "sweep_nps", &sweep);
 
     for &fraction in &PAPER_FRACTIONS {
         let roc = sweep.roc_for(fraction);
@@ -51,9 +50,9 @@ fn main() {
     // the test far more often — but each accepted sample then moves the
     // victim proportionally less.
     println!("## stealthy-drag variant (drag = {NPS_DRAG_STEALTHY}), 30% malicious");
-    let stealth = load_or_run_sweep(&options, "sweep_nps_stealthy", || {
-        fig14_nps_sweep_with_drag(&options.scale, &[0.30], &PAPER_ALPHAS, NPS_DRAG_STEALTHY)
-    });
+    let stealth =
+        fig14_nps_sweep_with_drag(&options.scale, &[0.30], &PAPER_ALPHAS, NPS_DRAG_STEALTHY);
+    write_result(&options, "sweep_nps_stealthy", &stealth);
     let roc = stealth.roc_for(0.30);
     println!("{:>8}  {:>10}  {:>10}", "alpha", "FPR", "TPR");
     for p in &roc.points {

@@ -164,27 +164,6 @@ pub fn print_header(options: &HarnessOptions, title: &str) {
     println!();
 }
 
-/// Load a previously saved detection sweep from `results/`, or run it
-/// and save it. Figs 9–12 (and 14/15) share their sweeps, so the first
-/// binary to run pays the simulation cost and the rest reuse the JSON.
-pub fn load_or_run_sweep(
-    options: &HarnessOptions,
-    name: &str,
-    run: impl FnOnce() -> ices_sim::experiments::detection::DetectionSweep,
-) -> ices_sim::experiments::detection::DetectionSweep {
-    let path = PathBuf::from("results").join(format!("{name}.{}.json", options.scale_name));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(sweep) = serde_json::from_str(&text) {
-            eprintln!("(reusing cached sweep from {})", path.display());
-            return sweep;
-        }
-        eprintln!("warning: ignoring unparsable cache at {}", path.display());
-    }
-    let sweep = run();
-    write_result(options, name, &sweep);
-    sweep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

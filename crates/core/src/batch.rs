@@ -4,28 +4,32 @@
 //! (or a whole simulated population) runs one independent filter per
 //! peer — an embarrassingly data-parallel sweep. [`DetectorBank`]
 //! flattens a set of [`Detector`]s into structure-of-arrays columns
-//! (`estimate`, `variance`, band/coast run counters) and exposes the
+//! (`estimate`, `variance`, the coast run counter) and exposes the
 //! four sweep kernels `predict_all` / `evaluate_into` / `accept_all` /
 //! `coast_all`, each one flat pass over `&[f64]` replacing N individual
 //! `Detector` calls.
 //!
 //! # Bit-identity contract
 //!
-//! Every kernel performs **bit-for-bit the
-//! same f64 operations, in the same per-slot order**, as the scalar
-//! [`Detector`]/[`KalmanFilter`] methods it replaces:
+//! Every kernel leaves **bit-for-bit the same state** as the scalar
+//! [`Detector`]/[`KalmanFilter`] methods it replaces. For the filter
+//! recursion this holds by construction: the bank and the scalar filter
+//! call the same two functions, `kalman::predict_step` and
+//! `kalman::update_step`.
 //!
-//! * `predict_all` is [`KalmanFilter::predict`] per slot;
+//! * `predict_all` is [`KalmanFilter::predict`] per slot: one
+//!   `predict_step` call;
 //! * `evaluate_into` is [`Detector::evaluate`] with the slot's
 //!   `Q⁻¹(α/2)` factor **cached** — `q_inverse` is a pure function, so
 //!   memoizing it per slot (and per distinct `α` at gather time) yields
 //!   the identical product `√v_η · Q⁻¹(α/2)` while skipping the
 //!   dominant cost of the scalar path, which re-derives the quantile on
 //!   every single evaluation;
-//! * `accept_all` is [`KalmanFilter::update`] (gain, posterior,
-//!   recalibration-band bookkeeping — same expressions, same order);
-//! * `coast_all` is [`KalmanFilter::time_update`] plus the starvation
-//!   streak of [`Detector::coast`].
+//! * `accept_all` is [`KalmanFilter::update`] per masked slot: one
+//!   `update_step` call on the scratch prediction;
+//! * `coast_all` is [`KalmanFilter::time_update`] (it copies the
+//!   scratch prediction into the state) plus the starvation streak of
+//!   [`Detector::coast`].
 //!
 //! The bank is a **transient execution engine**, not a second store of
 //! truth: callers gather detectors with [`DetectorBank::push`], run
@@ -36,7 +40,7 @@
 //! (`SecureNode::refresh_filter`), and the next sweep pushes it again.
 
 use crate::detector::{Detector, Verdict};
-use crate::kalman::RECALIBRATION_BAND;
+use crate::kalman::{predict_step, update_step};
 use crate::protocol::ColumnScratch;
 use ices_stats::q_inverse;
 
@@ -80,7 +84,6 @@ pub struct DetectorBank {
     estimate: Vec<f64>,
     variance: Vec<f64>,
     updates: Vec<u64>,
-    outside_streak: Vec<u32>,
     starvation_streak: Vec<u32>,
     // Prediction scratch (filled by `predict_all`).
     predicted: Vec<f64>,
@@ -133,7 +136,6 @@ impl DetectorBank {
         self.estimate.clear();
         self.variance.clear();
         self.updates.clear();
-        self.outside_streak.clear();
         self.starvation_streak.clear();
         self.predicted.clear();
         self.state_var.clear();
@@ -154,7 +156,7 @@ impl DetectorBank {
     pub fn push(&mut self, det: &Detector) -> usize {
         let slot = self.len();
         let p = *det.filter().params();
-        let (estimate, variance, updates, outside_streak) = det.filter().raw_state();
+        let (estimate, variance, updates) = det.filter().raw_state();
         self.beta.push(p.beta);
         self.w_bar.push(p.w_bar);
         self.v_w.push(p.v_w);
@@ -164,7 +166,6 @@ impl DetectorBank {
         self.estimate.push(estimate);
         self.variance.push(variance);
         self.updates.push(updates);
-        self.outside_streak.push(outside_streak);
         self.starvation_streak.push(det.starvation_streak());
         self.predicted.push(0.0);
         self.state_var.push(0.0);
@@ -181,8 +182,13 @@ impl DetectorBank {
     pub fn predict_all(&mut self) {
         let n = self.len();
         for i in 0..n {
-            let predicted = self.beta[i] * self.estimate[i] + self.w_bar[i];
-            let state_var = self.beta[i] * self.beta[i] * self.variance[i] + self.v_w[i];
+            let (predicted, state_var) = predict_step(
+                self.beta[i],
+                self.w_bar[i],
+                self.v_w[i],
+                self.estimate[i],
+                self.variance[i],
+            );
             self.predicted[i] = predicted;
             self.state_var[i] = state_var;
             self.innov_var[i] = state_var + self.v_u[i];
@@ -252,8 +258,8 @@ impl DetectorBank {
     }
 
     /// Incorporate one observation per masked slot — the
-    /// measurement-update of [`KalmanFilter::update`] plus the streak
-    /// bookkeeping of [`Detector::accept`], columnized. Reuses the
+    /// measurement-update of [`KalmanFilter::update`] plus the starvation
+    /// reset of [`Detector::accept`], columnized. Reuses the
     /// predictions from `predict_all` (the state is unchanged since, so
     /// the scalar path's internal re-prediction would produce the same
     /// bits).
@@ -276,22 +282,20 @@ impl DetectorBank {
                 observation.is_finite(),
                 "observation must be finite, got {observation}"
             );
-            let innovation = observation - self.predicted[i];
-            let gain = self.state_var[i] / (self.state_var[i] + self.v_u[i]);
-            self.estimate[i] = self.predicted[i] + gain * innovation;
-            self.variance[i] = self.v_u[i] * self.state_var[i] / (self.state_var[i] + self.v_u[i]);
+            let (_, estimate, variance) = update_step(
+                self.predicted[i],
+                self.state_var[i],
+                self.v_u[i],
+                observation,
+            );
+            self.estimate[i] = estimate;
+            self.variance[i] = variance;
             debug_assert!(
                 self.variance[i].is_finite() && self.variance[i] >= 0.0,
                 "posterior variance must stay finite and non-negative, got {}",
                 self.variance[i]
             );
             self.updates[i] += 1;
-            let band = RECALIBRATION_BAND * self.innov_var[i].sqrt();
-            if innovation.abs() > band {
-                self.outside_streak[i] += 1;
-            } else {
-                self.outside_streak[i] = 0;
-            }
             self.starvation_streak[i] = 0;
         }
     }
@@ -346,16 +350,15 @@ impl DetectorBank {
     }
 
     /// Scatter one slot's state back into the detector it was pushed
-    /// from. The bank ran the exact recursions, so the values written
-    /// are bit-for-bit what the scalar call sequence would have left
-    /// behind. Only the state is written: the parameters and `α` are
-    /// the ones the detector already holds.
+    /// from. The bank ran the same recursion functions, so the values
+    /// written are bit-for-bit what the scalar call sequence would have
+    /// left behind. Only the state is written: the parameters and `α`
+    /// are the ones the detector already holds.
     pub fn store(&self, slot: usize, det: &mut Detector) {
         det.filter_mut().set_raw_state(
             self.estimate[slot],
             self.variance[slot],
             self.updates[slot],
-            self.outside_streak[slot],
         );
         det.set_starvation_streak(self.starvation_streak[slot]);
     }

@@ -225,12 +225,6 @@ impl Detector {
         Ok(verdict)
     }
 
-    /// Whether the filter has hit the paper's recalibration condition,
-    /// **or** the detector is sample-starved (see [`Detector::starved`]).
-    pub fn needs_recalibration(&self) -> bool {
-        self.filter.needs_recalibration() || self.starved()
-    }
-
     /// Install freshly calibrated parameters (from a Surveyor). Clears
     /// the starvation streak along with the filter state; invalid
     /// parameters are refused and leave the detector as it was.
@@ -415,18 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn recalibration_signal_propagates() {
-        let p = params();
-        let mut d = Detector::new(p, 0.05).unwrap();
-        for _ in 0..10 {
-            d.accept(1e3);
-        }
-        assert!(d.needs_recalibration());
-        d.recalibrate(p).unwrap();
-        assert!(!d.needs_recalibration());
-    }
-
-    #[test]
     fn coasting_widens_the_threshold_without_corrupting_state() {
         let p = params();
         let mut d = Detector::new(p, 0.05).unwrap();
@@ -462,10 +444,8 @@ mod tests {
             d.coast();
         }
         assert!(!d.starved());
-        assert!(!d.needs_recalibration());
         d.coast();
         assert!(d.starved());
-        assert!(d.needs_recalibration(), "starvation feeds the recal signal");
         // One real sample clears the streak.
         d.accept(p.stationary_mean());
         assert!(!d.starved());

@@ -17,21 +17,50 @@
 //!
 //! The **innovation** `η_i = D_i − Δ̂_{i|i−1}` is, under the clean-system
 //! hypothesis, white gaussian with variance `v_η,i = v_U + P_{i|i−1}` —
-//! the quantity the detection test thresholds. The filter also tracks the
-//! paper's recalibration trigger: 10 consecutive innovations outside the
-//! ±2√v_η confidence interval.
+//! the quantity the detection test thresholds.
+//!
+//! `predict_step` and `update_step` are the only copy of this
+//! arithmetic. [`KalmanFilter`], the batched sweeps of
+//! [`DetectorBank`](crate::batch::DetectorBank) and the forward pass of
+//! EM's E-step (`crate::em`) all call them, so the filter and the bank
+//! agree bit for bit by construction. Each caller forms the innovation
+//! variance `P_{i|i−1} + v_U` itself, and each keeps its own
+//! initial-state convention.
 
 use crate::model::{ModelError, StateSpaceParams};
 use serde::{Deserialize, Serialize};
 
-/// Number of consecutive out-of-confidence-interval innovations after
-/// which the paper recalibrates the filter (§2.2).
-pub const RECALIBRATION_STREAK: u32 = 10;
+/// The prediction half of the recursion: from `(Δ̂_{i−1|i−1},
+/// P_{i−1|i−1})` to `(Δ̂_{i|i−1}, P_{i|i−1})`.
+#[inline]
+pub(crate) fn predict_step(
+    beta: f64,
+    w_bar: f64,
+    v_w: f64,
+    estimate: f64,
+    variance: f64,
+) -> (f64, f64) {
+    (beta * estimate + w_bar, beta * beta * variance + v_w)
+}
 
-/// Width of the recalibration confidence interval in standard deviations
-/// (±2√v_η ≈ the 95% band). `pub(crate)` so the batched kernel
-/// (`crate::batch`) applies the identical band.
-pub(crate) const RECALIBRATION_BAND: f64 = 2.0;
+/// The update half of the recursion: from the prediction
+/// `(Δ̂_{i|i−1}, P_{i|i−1})` and the observation `D_i` to
+/// `(η_i, Δ̂_{i|i}, P_{i|i})`.
+#[inline]
+pub(crate) fn update_step(
+    predicted: f64,
+    state_variance: f64,
+    v_u: f64,
+    observation: f64,
+) -> (f64, f64, f64) {
+    let innovation = observation - predicted;
+    let gain = state_variance / (state_variance + v_u);
+    (
+        innovation,
+        predicted + gain * innovation,
+        v_u * state_variance / (state_variance + v_u),
+    )
+}
 
 /// A one-step-ahead prediction: the predicted relative error and the
 /// innovation variance an observation would be compared under.
@@ -55,8 +84,6 @@ pub struct KalmanFilter {
     variance: f64,
     /// Observations incorporated so far.
     updates: u64,
-    /// Current run of innovations outside the ±2σ band.
-    outside_streak: u32,
 }
 
 impl KalmanFilter {
@@ -69,7 +96,6 @@ impl KalmanFilter {
             estimate: params.w0,
             variance: params.p0,
             updates: 0,
-            outside_streak: 0,
         })
     }
 
@@ -94,40 +120,28 @@ impl KalmanFilter {
     }
 
     /// Raw mutable state for the batched kernel's gather phase:
-    /// `(estimate, variance, updates, outside_streak)`. Crate-private:
-    /// only `crate::batch` flattens filters into SoA columns.
-    pub(crate) fn raw_state(&self) -> (f64, f64, u64, u32) {
-        (
-            self.estimate,
-            self.variance,
-            self.updates,
-            self.outside_streak,
-        )
+    /// `(estimate, variance, updates)`. Crate-private: only
+    /// `crate::batch` flattens filters into SoA columns.
+    pub(crate) fn raw_state(&self) -> (f64, f64, u64) {
+        (self.estimate, self.variance, self.updates)
     }
 
     /// Scatter the batched kernel's column back into this filter. The
-    /// bank runs the exact update/time-update recursions, so the values
-    /// written here are bit-for-bit what the scalar path would have
-    /// produced. Crate-private for the same reason as
+    /// bank calls the same [`predict_step`] and [`update_step`], so the
+    /// values written here are bit-for-bit what the scalar path would
+    /// have produced. Crate-private for the same reason as
     /// [`KalmanFilter::raw_state`].
-    pub(crate) fn set_raw_state(
-        &mut self,
-        estimate: f64,
-        variance: f64,
-        updates: u64,
-        outside_streak: u32,
-    ) {
+    pub(crate) fn set_raw_state(&mut self, estimate: f64, variance: f64, updates: u64) {
         self.estimate = estimate;
         self.variance = variance;
         self.updates = updates;
-        self.outside_streak = outside_streak;
     }
 
     /// One-step-ahead prediction for the next observation.
     pub fn predict(&self) -> Prediction {
         let p = &self.params;
-        let predicted = p.beta * self.estimate + p.w_bar;
-        let state_variance = p.beta * p.beta * self.variance + p.v_w;
+        let (predicted, state_variance) =
+            predict_step(p.beta, p.w_bar, p.v_w, self.estimate, self.variance);
         Prediction {
             predicted,
             state_variance,
@@ -146,24 +160,20 @@ impl KalmanFilter {
             "observation must be finite, got {observation}"
         );
         let pred = self.predict();
-        let innovation = observation - pred.predicted;
-        let gain = pred.state_variance / (pred.state_variance + self.params.v_u);
-        self.estimate = pred.predicted + gain * innovation;
-        self.variance =
-            self.params.v_u * pred.state_variance / (pred.state_variance + self.params.v_u);
+        let (innovation, estimate, variance) = update_step(
+            pred.predicted,
+            pred.state_variance,
+            self.params.v_u,
+            observation,
+        );
+        self.estimate = estimate;
+        self.variance = variance;
         debug_assert!(
             self.variance.is_finite() && self.variance >= 0.0,
             "posterior variance must stay finite and non-negative, got {}",
             self.variance
         );
         self.updates += 1;
-        // Recalibration bookkeeping (±2σ band, §2.2).
-        let band = RECALIBRATION_BAND * pred.innovation_variance.sqrt();
-        if innovation.abs() > band {
-            self.outside_streak += 1;
-        } else {
-            self.outside_streak = 0;
-        }
         innovation
     }
 
@@ -179,23 +189,16 @@ impl KalmanFilter {
     /// coasts along the model dynamics and the variance widens, so the
     /// next real observation is judged against an honestly larger
     /// innovation variance instead of a stale, over-confident one.
-    /// Does not count as an update and leaves the recalibration streak
-    /// untouched (no innovation was observed).
+    /// Does not count as an update.
     pub fn time_update(&mut self) {
-        let pred = self.predict();
-        self.estimate = pred.predicted;
-        self.variance = pred.state_variance;
+        let p = &self.params;
+        (self.estimate, self.variance) =
+            predict_step(p.beta, p.w_bar, p.v_w, self.estimate, self.variance);
         debug_assert!(
             self.variance.is_finite() && self.variance >= 0.0,
             "coasting variance must stay finite and non-negative, got {}",
             self.variance
         );
-    }
-
-    /// Whether the paper's recalibration condition has fired: 10
-    /// consecutive innovations outside the ±2√v_η confidence interval.
-    pub fn needs_recalibration(&self) -> bool {
-        self.outside_streak >= RECALIBRATION_STREAK
     }
 
     /// Reset state after recalibration with fresh parameters, refusing
@@ -345,44 +348,12 @@ mod tests {
     }
 
     #[test]
-    fn recalibration_fires_after_ten_consecutive_outliers() {
-        let mut f = KalmanFilter::new(params()).unwrap();
-        // Feed benign data first.
-        for _ in 0..20 {
-            f.update(f.predict().predicted);
-            assert!(!f.needs_recalibration());
-        }
-        // Now hammer it with wildly deviant observations.
-        for i in 0..10 {
-            assert!(!f.needs_recalibration(), "fired early at {i}");
-            f.update(100.0 + i as f64 * 50.0);
-        }
-        assert!(f.needs_recalibration());
-    }
-
-    #[test]
-    fn streak_resets_on_inlier() {
-        let mut f = KalmanFilter::new(params()).unwrap();
-        for _ in 0..9 {
-            f.update(1e6); // way outside
-        }
-        assert!(!f.needs_recalibration());
-        f.update(f.predict().predicted); // back inside
-        for _ in 0..9 {
-            f.update(1e6);
-        }
-        assert!(!f.needs_recalibration(), "streak should have reset");
-    }
-
-    #[test]
     fn recalibrate_resets_everything() {
         let mut f = KalmanFilter::new(params()).unwrap();
         for _ in 0..15 {
             f.update(1e6);
         }
-        assert!(f.needs_recalibration());
         f.recalibrate(params()).unwrap();
-        assert!(!f.needs_recalibration());
         assert_eq!(f.updates(), 0);
         assert_eq!(f.estimate(), 0.4);
     }
@@ -457,21 +428,6 @@ mod tests {
             (f.variance() - stationary).abs() < 1e-9,
             "coasting variance {} should settle at {stationary}",
             f.variance()
-        );
-    }
-
-    #[test]
-    fn time_update_preserves_recalibration_streak() {
-        let mut f = KalmanFilter::new(params()).unwrap();
-        for _ in 0..9 {
-            f.update(1e6);
-        }
-        assert!(!f.needs_recalibration());
-        f.time_update();
-        f.update(1e6);
-        assert!(
-            f.needs_recalibration(),
-            "a measurement-free step must not reset the outlier streak"
         );
     }
 

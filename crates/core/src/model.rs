@@ -102,17 +102,6 @@ impl StateSpaceParams {
         Ok(())
     }
 
-    /// [`StateSpaceParams::check`] for contexts that cannot propagate the
-    /// error (long-standing public API; EM always produces valid params).
-    ///
-    /// # Panics
-    /// Panics with the [`ModelError`] message on invalid parameters.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
-
     /// Stationary mean of the nominal error process:
     /// `E[Δ_∞] = w̄ / (1 − β)`.
     pub fn stationary_mean(&self) -> f64 {
@@ -145,8 +134,13 @@ impl StateSpaceParams {
     /// Simulate a clean trace of measured relative errors from this
     /// model — the ground truth generator used by the calibration and
     /// filter tests.
+    ///
+    /// # Panics
+    /// Panics with the [`ModelError`] message on invalid parameters.
     pub fn simulate<R: rand::Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
-        self.validate();
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         let mut delta = ices_stats::sample::normal(rng, self.w0, self.p0.sqrt());
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -177,25 +171,25 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_sane_params() {
-        params().validate();
-        StateSpaceParams::em_initial_guess().validate();
+    fn check_accepts_sane_params() {
+        assert_eq!(params().check(), Ok(()));
+        assert_eq!(StateSpaceParams::em_initial_guess().check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "|beta| < 1")]
-    fn validate_rejects_nonstationary_beta() {
+    fn check_rejects_nonstationary_beta() {
         let mut p = params();
         p.beta = 1.0;
-        p.validate();
+        assert_eq!(p.check(), Err(ModelError::NonStationaryBeta(1.0)));
     }
 
     #[test]
-    #[should_panic(expected = "v_u must be positive")]
-    fn validate_rejects_zero_observation_noise() {
+    fn check_rejects_zero_observation_noise() {
         let mut p = params();
         p.v_u = 0.0;
-        p.validate();
+        let err = p.check().unwrap_err();
+        assert_eq!(err, ModelError::NonPositiveVariance("v_u", 0.0));
+        assert_eq!(err.to_string(), "v_u must be positive, got 0");
     }
 
     #[test]

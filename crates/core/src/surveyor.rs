@@ -15,7 +15,7 @@
 //! instead picks the Surveyor closest in *estimated* (coordinate)
 //! distance.
 
-use crate::model::StateSpaceParams;
+use crate::model::{ModelError, StateSpaceParams};
 use ices_coord::Coordinate;
 use ices_stats::sample::sample_indices;
 use rand::Rng;
@@ -47,28 +47,41 @@ impl SurveyorRegistry {
     }
 
     /// Register a Surveyor (or update it if the id is already present).
-    pub fn register(&mut self, info: SurveyorInfo) {
-        info.params.validate();
+    ///
+    /// # Errors
+    /// Invalid parameters are refused with their [`ModelError`], and the
+    /// registry is left unchanged.
+    pub fn register(&mut self, info: SurveyorInfo) -> Result<(), ModelError> {
+        info.params.check()?;
         if let Some(existing) = self.surveyors.iter_mut().find(|s| s.id == info.id) {
             *existing = info;
         } else {
             self.surveyors.push(info);
         }
+        Ok(())
     }
 
-    /// Rewrite every registered Surveyor's entry in place, in
-    /// registration order: `rewrite(i, info)` gets the `i`-th entry and
-    /// must keep its id.
+    /// Rewrite every registered Surveyor's entry, in registration
+    /// order: `rewrite(i, info)` gets the `i`-th entry and must keep its
+    /// id. The rewrite runs on a copy, which is installed only if every
+    /// entry's parameters pass [`StateSpaceParams::check`].
     ///
-    /// # Panics
-    /// Panics if a rewritten entry's parameters are invalid.
-    pub fn update_each(&mut self, mut rewrite: impl FnMut(usize, &mut SurveyorInfo)) {
-        for (i, info) in self.surveyors.iter_mut().enumerate() {
+    /// # Errors
+    /// The first invalid rewritten entry's [`ModelError`]; the registry
+    /// is then left unchanged.
+    pub fn update_each(
+        &mut self,
+        mut rewrite: impl FnMut(usize, &mut SurveyorInfo),
+    ) -> Result<(), ModelError> {
+        let mut surveyors = self.surveyors.clone();
+        for (i, info) in surveyors.iter_mut().enumerate() {
             let id = info.id;
             rewrite(i, info);
             debug_assert_eq!(info.id, id, "a rewrite must keep the Surveyor's id");
-            info.params.validate();
+            info.params.check()?;
         }
+        self.surveyors = surveyors;
+        Ok(())
     }
 
     /// Number of registered Surveyors.
@@ -178,8 +191,8 @@ mod tests {
     fn register_and_lookup() {
         let mut reg = SurveyorRegistry::new();
         assert!(reg.is_empty());
-        reg.register(info(7, 10.0));
-        reg.register(info(9, 20.0));
+        reg.register(info(7, 10.0)).unwrap();
+        reg.register(info(9, 20.0)).unwrap();
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.get(7).expect("exists").id, 7);
         assert!(reg.get(8).is_none());
@@ -188,17 +201,42 @@ mod tests {
     #[test]
     fn register_updates_in_place() {
         let mut reg = SurveyorRegistry::new();
-        reg.register(info(7, 10.0));
-        reg.register(info(7, 99.0));
+        reg.register(info(7, 10.0)).unwrap();
+        reg.register(info(7, 99.0)).unwrap();
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.get(7).expect("exists").coordinate.position()[0], 99.0);
+    }
+
+    #[test]
+    fn invalid_params_are_refused_and_leave_the_registry_unchanged() {
+        let mut reg = SurveyorRegistry::new();
+        reg.register(info(1, 0.0)).unwrap();
+        reg.register(info(2, 50.0)).unwrap();
+        let before = reg.clone();
+        let mut bad = info(1, 99.0);
+        bad.params.v_u = 0.0;
+        assert_eq!(
+            reg.register(bad),
+            Err(ModelError::NonPositiveVariance("v_u", 0.0))
+        );
+        assert_eq!(reg, before);
+        // A rewrite that breaks the second entry installs nothing, not
+        // even the first entry's valid rewrite.
+        let refused = reg.update_each(|i, s| {
+            s.coordinate = Coordinate::new(vec![7.0, 0.0], 0.0);
+            if i == 1 {
+                s.params.v_u = 0.0;
+            }
+        });
+        assert_eq!(refused, Err(ModelError::NonPositiveVariance("v_u", 0.0)));
+        assert_eq!(reg, before);
     }
 
     #[test]
     fn sample_returns_distinct_surveyors() {
         let mut reg = SurveyorRegistry::new();
         for i in 0..20 {
-            reg.register(info(i, i as f64));
+            reg.register(info(i, i as f64)).unwrap();
         }
         let mut rng = stream_rng(1, 0);
         let picked = reg.sample(8, &mut rng);
@@ -212,8 +250,8 @@ mod tests {
     #[test]
     fn sample_caps_at_registry_size() {
         let mut reg = SurveyorRegistry::new();
-        reg.register(info(1, 0.0));
-        reg.register(info(2, 5.0));
+        reg.register(info(1, 0.0)).unwrap();
+        reg.register(info(2, 5.0)).unwrap();
         let mut rng = stream_rng(2, 0);
         assert_eq!(reg.sample(10, &mut rng).len(), 2);
     }
@@ -221,9 +259,9 @@ mod tests {
     #[test]
     fn closest_by_coordinate_picks_the_nearest() {
         let mut reg = SurveyorRegistry::new();
-        reg.register(info(1, 0.0));
-        reg.register(info(2, 50.0));
-        reg.register(info(3, 200.0));
+        reg.register(info(1, 0.0)).unwrap();
+        reg.register(info(2, 50.0)).unwrap();
+        reg.register(info(3, 200.0)).unwrap();
         let me = Coordinate::new(vec![60.0, 0.0], 0.0);
         assert_eq!(reg.closest_by_coordinate(&me).expect("non-empty").id, 2);
     }
@@ -231,8 +269,8 @@ mod tests {
     #[test]
     fn closest_by_cost_uses_measured_rtt() {
         let mut reg = SurveyorRegistry::new();
-        reg.register(info(1, 0.0));
-        reg.register(info(2, 50.0));
+        reg.register(info(1, 0.0)).unwrap();
+        reg.register(info(2, 50.0)).unwrap();
         let mut rng = stream_rng(3, 0);
         let candidates = reg.sample(2, &mut rng);
         // Pretend measured RTT says surveyor 1 is far, 2 near.
@@ -270,9 +308,9 @@ mod tests {
     #[test]
     fn availability_filter_skips_down_surveyors() {
         let mut reg = SurveyorRegistry::new();
-        reg.register(info(1, 0.0));
-        reg.register(info(2, 50.0));
-        reg.register(info(3, 200.0));
+        reg.register(info(1, 0.0)).unwrap();
+        reg.register(info(2, 50.0)).unwrap();
+        reg.register(info(3, 200.0)).unwrap();
         let me = Coordinate::new(vec![60.0, 0.0], 0.0);
         // Nearest (id 2) is down: the next-nearest live one is chosen.
         let chosen = reg.closest_available_by_coordinate(&me, |s| s.id != 2);
@@ -282,8 +320,8 @@ mod tests {
     #[test]
     fn all_surveyors_down_returns_none() {
         let mut reg = SurveyorRegistry::new();
-        reg.register(info(1, 0.0));
-        reg.register(info(2, 50.0));
+        reg.register(info(1, 0.0)).unwrap();
+        reg.register(info(2, 50.0)).unwrap();
         let me = Coordinate::new(vec![60.0, 0.0], 0.0);
         assert!(
             reg.closest_available_by_coordinate(&me, |_| false)
@@ -295,7 +333,7 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let mut reg = SurveyorRegistry::new();
-        reg.register(info(4, 12.0));
+        reg.register(info(4, 12.0)).unwrap();
         let json = serde_json::to_string(&reg).expect("serialize");
         let back: SurveyorRegistry = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(reg, back);

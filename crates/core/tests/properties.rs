@@ -141,7 +141,7 @@ proptest! {
         let mut rng = ices_stats::rng::stream_rng(seed, 0);
         let trace = p.simulate(n, &mut rng);
         let out = calibrate(&trace, StateSpaceParams::em_initial_guess(), &EmConfig::default());
-        out.params.validate(); // must not panic
+        prop_assert_eq!(out.params.check(), Ok(()));
         prop_assert!(out.iterations >= 1);
         prop_assert!(!out.log_likelihood.is_empty());
         for w in out.log_likelihood.windows(2) {

@@ -63,7 +63,9 @@ fn run_with_params(
     let mut sim = VivaldiSimulation::new(scenario(scale));
     sim.run_clean(scale.clean_passes);
     sim.calibrate_surveyors(&EmConfig::default());
-    sim.transform_registry_params(&mut transform);
+    if let Err(e) = sim.transform_registry_params(&mut transform) {
+        panic!("every ablation transform keeps the parameters valid: {e}");
+    }
     if !reprieve {
         sim.set_reprieve_enabled(false);
     }
@@ -138,7 +140,9 @@ pub fn ablate_filter_source(scale: &Scale) -> AblationResult {
     let mut sim = VivaldiSimulation::new(scenario(scale));
     sim.run_clean(scale.clean_passes);
     sim.calibrate_surveyors(&EmConfig::default());
-    sim.shuffle_registry_params();
+    if let Err(e) = sim.shuffle_registry_params() {
+        panic!("rotating checked parameters keeps them valid: {e}");
+    }
     sim.arm_detection();
     let attack = isolation_attack(&sim, scale.seed ^ 0xAB1);
     sim.run(scale.measure_passes, &attack, false);

@@ -23,7 +23,7 @@ use ices_attack::Adversary;
 use ices_coord::{Coordinate, Embedding, PeerSample};
 use ices_core::protocol::RoundAction;
 use ices_core::{
-    calibrate, CalibrationOutcome, DetectorBank, EmConfig, SecureNode, SecurityConfig,
+    calibrate, CalibrationOutcome, DetectorBank, EmConfig, ModelError, SecureNode, SecurityConfig,
     StateSpaceParams, SurveyorInfo, SurveyorRegistry,
 };
 use ices_netsim::{FaultPlan, Network, ProbeKey, ProbeOutcome};
@@ -504,16 +504,20 @@ impl<B: Backend> SecuredSim<B> {
     ///
     /// # Panics
     /// Panics if a Surveyor has fewer than 10 trace samples (run more
-    /// clean passes first).
+    /// clean passes first), or if EM returns parameters that fail
+    /// [`StateSpaceParams::check`], which would be a bug in EM.
     pub fn calibrate_surveyors(&mut self, em: &EmConfig) {
         let ids: Vec<usize> = self.surveyors.iter().copied().collect();
         for id in ids {
             let outcome = calibrate(&self.traces[id], StateSpaceParams::em_initial_guess(), em);
-            self.registry.register(SurveyorInfo {
+            let registered = self.registry.register(SurveyorInfo {
                 id,
                 coordinate: self.participants[id].coordinate().clone(),
                 params: outcome.params,
             });
+            if let Err(e) = registered {
+                panic!("EM calibrated invalid parameters for Surveyor {id}: {e}");
+            }
         }
         self.obs.phase("calibrate", 0);
     }
@@ -652,25 +656,33 @@ impl<B: Backend> SecuredSim<B> {
     /// random-walk β, stale parameters, …). Call between
     /// [`SecuredSim::calibrate_surveyors`] and
     /// [`SecuredSim::arm_detection`].
+    ///
+    /// # Errors
+    /// A transformed parameter set that fails [`StateSpaceParams::check`];
+    /// the registry is then left unchanged.
     pub fn transform_registry_params(
         &mut self,
         transform: &mut dyn FnMut(StateSpaceParams) -> StateSpaceParams,
-    ) {
+    ) -> Result<(), ModelError> {
         self.registry
-            .update_each(|_, info| info.params = transform(info.params));
+            .update_each(|_, info| info.params = transform(info.params))
     }
 
     /// Rotate the registered parameters among Surveyors so every lookup
     /// returns an *unrelated* Surveyor's filter (the "random Surveyor"
     /// ablation arm). No-op with fewer than 2 Surveyors.
-    pub fn shuffle_registry_params(&mut self) {
+    ///
+    /// # Errors
+    /// The registry's own refusal, passed on; every rotated parameter
+    /// set was already checked when it was registered.
+    pub fn shuffle_registry_params(&mut self) -> Result<(), ModelError> {
         let params: Vec<StateSpaceParams> = self.registry.all().iter().map(|s| s.params).collect();
         if params.len() < 2 {
-            return;
+            return Ok(());
         }
         let shift = params.len() / 2;
         self.registry
-            .update_each(|i, info| info.params = params[(i + shift) % params.len()]);
+            .update_each(|i, info| info.params = params[(i + shift) % params.len()])
     }
 
     /// Enable or disable the first-time-peer reprieve (ablation switch).
@@ -826,8 +838,12 @@ impl<B: Backend> SecuredSim<B> {
     /// lookups stay current.
     pub(crate) fn refresh_registry_coordinates(&mut self) {
         let participants = &self.participants;
-        self.registry
+        let refreshed = self
+            .registry
             .update_each(|_, s| s.coordinate = participants[s.id].coordinate().clone());
+        if let Err(e) = refreshed {
+            panic!("a coordinate refresh keeps the registered, checked parameters: {e}");
+        }
     }
 
     /// Close tick `tick`: set the gauges and emit the journal's tick
@@ -910,7 +926,7 @@ pub(crate) mod tests {
                     sim.calibrate_surveyors(&EmConfig::default());
                     assert_eq!(sim.registry().len(), sim.surveyors().len());
                     for info in sim.registry().all() {
-                        info.params.validate();
+                        assert_eq!(info.params.check(), Ok(()));
                     }
                     sim.arm_detection();
                     for node in 0..sim.len() {

@@ -301,14 +301,17 @@ impl ServiceCore {
                 params,
             } => {
                 let id = usize::try_from(surveyor).unwrap_or(usize::MAX);
-                let registered = params.check().is_ok() && id != usize::MAX;
+                let registered = id != usize::MAX
+                    && self
+                        .surveyors
+                        .register(SurveyorInfo {
+                            id,
+                            coordinate,
+                            params,
+                        })
+                        .is_ok();
                 if registered {
                     self.registry.inc(self.counters.registrations);
-                    self.surveyors.register(SurveyorInfo {
-                        id,
-                        coordinate,
-                        params,
-                    });
                     // First registration arms certification and the
                     // secured-update intake with the calibrated params.
                     if self.certifier.is_none() {

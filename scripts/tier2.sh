@@ -16,10 +16,15 @@ cargo test -q
 # `cargo test` above covers only the `ices` facade package.
 cargo test --workspace -q
 
-# Formatting of the simulation, benchmark, service, core and pool
-# crates (the whole workspace is not gated: `cargo fmt --all` would
-# also rewrite the vendored shims).
-cargo fmt -p ices-sim -p ices-bench -p ices-svc -p ices-core -p ices-par -- --check
+# Formatting of every package except the vendored shims: the root
+# `ices` package and each crates/* member, named by the first `name =`
+# line of its manifest (`cargo fmt --all` would also check vendor/*,
+# which mirrors external code).
+fmt_packages=(-p ices)
+for manifest in crates/*/Cargo.toml; do
+    fmt_packages+=(-p "$(grep -m1 '^name = ' "$manifest" | cut -d'"' -f2)")
+done
+cargo fmt "${fmt_packages[@]}" -- --check
 
 # The NPS goldens, the pipeline goldens, the NPS driver's unit tests
 # (its own module and the shared secured-core tests, which run on both
