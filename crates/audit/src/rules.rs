@@ -30,8 +30,8 @@
 //!   `#[allow(unsafe_code)]` while the rest of the crate stays denied.
 //! * **OBS01** — no wall-clock or entropy source anywhere in
 //!   `crates/obs`: observability time flows exclusively through the
-//!   `ices_obs::Clock` trait, and the only sanctioned wall-clock impl
-//!   lives in `crates/bench` (`WallClock`). Inside `crates/obs` this
+//!   `ices_obs::Clock` trait, and the only wall-clock impl of it lives
+//!   in `crates/svc` (`ServiceClock`). Inside `crates/obs` this
 //!   rule supersedes DET02 — same triggers, sharper message.
 //! * **ALLOW01** — a malformed `audit:allow` (unknown rule or missing
 //!   reason). Never suppressible: the reason *is* the audit trail.
@@ -788,8 +788,8 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
                         line,
                         format!(
                             "`{word}` in ices-obs; observability time must flow \
-                             through the `Clock` trait (the bench `WallClock` is \
-                             the only sanctioned wall-clock impl)"
+                             through the `Clock` trait (the daemon's `ServiceClock` \
+                             is the only wall-clock impl)"
                         ),
                         &mut findings,
                     );
@@ -816,8 +816,8 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
                         "OBS01",
                         line,
                         "`Instant::now` in ices-obs; observability time must \
-                         flow through the `Clock` trait (the bench `WallClock` \
-                         is the only sanctioned wall-clock impl)"
+                         flow through the `Clock` trait (the daemon's `ServiceClock` \
+                         is the only wall-clock impl)"
                             .into(),
                         &mut findings,
                     );

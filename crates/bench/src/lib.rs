@@ -22,40 +22,6 @@
 use ices_sim::experiments::Scale;
 use serde::Serialize;
 use std::path::PathBuf;
-use std::time::Instant;
-
-/// The one sanctioned wall-clock [`ices_obs::Clock`]: milliseconds since
-/// construction, read from [`std::time::Instant`].
-///
-/// Simulation code stamps observability with the tick-driven
-/// [`ices_obs::TickClock`] so runs stay deterministic (DET02/OBS01); the
-/// benchmark harness is the only place real time is allowed to leak in,
-/// because its whole job is measuring it.
-#[derive(Debug)]
-pub struct WallClock {
-    start: Instant,
-}
-
-impl WallClock {
-    /// A clock whose epoch is "now".
-    pub fn start() -> Self {
-        Self {
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl ices_obs::Clock for WallClock {
-    fn now(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-}
 
 /// Parsed command-line options for a reproduction binary.
 #[derive(Debug, Clone)]
@@ -173,14 +139,5 @@ mod tests {
     fn print_curve_handles_small_curves() {
         let c = Curve::from_samples("t", vec![0.1, 0.2, 0.3], 5);
         print_curve(&c, 10); // must not panic or divide by zero
-    }
-
-    #[test]
-    fn wall_clock_is_monotone() {
-        use ices_obs::Clock;
-        let clock = WallClock::start();
-        let a = clock.now();
-        let b = clock.now();
-        assert!(b >= a, "Instant-backed clock must be monotone");
     }
 }

@@ -17,48 +17,34 @@
 //!   outage probability for Surveyor nodes, set by the driver that knows
 //!   which ids are Surveyors.
 //!
+//! A network consults the plan at two points of a probe: the churn
+//! schedule says whether each endpoint is up at a tick
+//! ([`crate::Network::node_up`]), and the link gate says whether a
+//! logical probe over a keyed pair gets through at its nonce
+//! ([`crate::Network::link_fate`]). A probe that does not is settled
+//! with a [`ProbeFate`] and never measured.
+//!
 //! Every decision is a pure function of `(seed, endpoints, nonce)` or
 //! `(seed, node, epoch)` through the same SplitMix64 stream discipline as
-//! [`crate::Network::measure_rtt`], so fault injection is bit-for-bit
-//! reproducible at any worker count and independent of probe order. The
-//! default plan is empty: [`FaultPlan::is_empty`] short-circuits the
-//! whole machinery, so fault-free simulations behave (and cost) exactly
-//! as before.
+//! measurement noise, on streams of its own, so fault injection is
+//! bit-for-bit reproducible at any worker count, independent of probe
+//! order, and never perturbs the measurements that get through. The
+//! default plan is empty: every node is up and every gate opens.
 
 use ices_stats::rng::{derive, derive2};
 use ices_stats::streams;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The outcome of a fallible probe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ProbeOutcome {
-    /// The probe completed and measured this RTT (ms).
-    Ok(f64),
-    /// The probe (or its reply) was dropped in the network.
+/// Why a logical probe produced no measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeFate {
+    /// The link gate dropped the probe (or its reply).
     Lost,
-    /// The probe timed out — the path stalled or an endpoint is down.
+    /// The link gate stalled the probe past its timeout.
     TimedOut,
-}
-
-impl ProbeOutcome {
-    /// The measured RTT, if the probe completed.
-    pub fn ok(self) -> Option<f64> {
-        match self {
-            ProbeOutcome::Ok(rtt) => Some(rtt),
-            _ => None,
-        }
-    }
-
-    /// Whether the probe completed.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, ProbeOutcome::Ok(_))
-    }
-
-    /// Whether the probe failed (lost or timed out).
-    pub fn failed(&self) -> bool {
-        !self.is_ok()
-    }
+    /// The probed node is down for the current churn epoch.
+    PeerDown,
 }
 
 /// Per-probe link fault probabilities.
@@ -245,29 +231,18 @@ impl FaultPlan {
         unit(h) >= model.down_probability
     }
 
-    /// The fate of the logical probe `(a, b, nonce)`: `None` when it
-    /// completes, otherwise the failure. Symmetric in direction like
-    /// [`crate::Network::measure_rtt`], and drawn from a dedicated
-    /// stream, so fault injection never perturbs measurement noise.
-    pub fn probe_fate(&self, seed: u64, a: usize, b: usize, nonce: u64) -> Option<ProbeOutcome> {
-        if self.link.is_empty() {
-            return None;
-        }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.link_fate(link_key(seed, lo, hi), nonce)
-    }
-
-    /// [`FaultPlan::probe_fate`] of the pair whose link-fault stream
-    /// key is `link_key` (see [`crate::ProbeKey`]).
-    pub fn link_fate(&self, link_key: u64, nonce: u64) -> Option<ProbeOutcome> {
+    /// The fate of the logical probe at `nonce` over the pair whose
+    /// link-fault stream key is `link_key` (see [`link_key`]): `None`
+    /// when it completes, else `Lost` or `TimedOut`.
+    pub(crate) fn link_fate(&self, link_key: u64, nonce: u64) -> Option<ProbeFate> {
         if self.link.is_empty() {
             return None;
         }
         let u = unit(derive(link_key, nonce));
         if u < self.link.loss_probability {
-            Some(ProbeOutcome::Lost)
+            Some(ProbeFate::Lost)
         } else if u < self.link.loss_probability + self.link.timeout_probability {
-            Some(ProbeOutcome::TimedOut)
+            Some(ProbeFate::TimedOut)
         } else {
             None
         }
@@ -299,25 +274,10 @@ mod tests {
         assert!(plan.is_empty());
         plan.validate();
         for nonce in 0..100 {
-            assert_eq!(plan.probe_fate(1, 0, 1, nonce), None);
+            assert_eq!(plan.link_fate(link_key(1, 0, 1), nonce), None);
         }
         for tick in 0..100 {
             assert!(plan.node_up(1, 3, tick));
-        }
-    }
-
-    #[test]
-    fn probe_fate_is_deterministic_and_direction_symmetric() {
-        let plan = FaultPlan::lossy(0.3, 0.1);
-        for nonce in 0..200 {
-            assert_eq!(
-                plan.probe_fate(9, 4, 17, nonce),
-                plan.probe_fate(9, 4, 17, nonce)
-            );
-            assert_eq!(
-                plan.probe_fate(9, 4, 17, nonce),
-                plan.probe_fate(9, 17, 4, nonce)
-            );
         }
     }
 
@@ -327,9 +287,9 @@ mod tests {
         let n = 20_000;
         let (mut lost, mut timed_out) = (0usize, 0usize);
         for nonce in 0..n {
-            match plan.probe_fate(7, 0, 1, nonce) {
-                Some(ProbeOutcome::Lost) => lost += 1,
-                Some(ProbeOutcome::TimedOut) => timed_out += 1,
+            match plan.link_fate(link_key(7, 0, 1), nonce) {
+                Some(ProbeFate::Lost) => lost += 1,
+                Some(ProbeFate::TimedOut) => timed_out += 1,
                 _ => {}
             }
         }
@@ -345,8 +305,12 @@ mod tests {
     #[test]
     fn fault_stream_is_independent_per_pair() {
         let plan = FaultPlan::lossy(0.5, 0.0);
-        let fate_a: Vec<_> = (0..64).map(|n| plan.probe_fate(3, 0, 1, n)).collect();
-        let fate_b: Vec<_> = (0..64).map(|n| plan.probe_fate(3, 0, 2, n)).collect();
+        let fate = |hi| -> Vec<_> {
+            (0..64)
+                .map(|n| plan.link_fate(link_key(3, 0, hi), n))
+                .collect()
+        };
+        let (fate_a, fate_b) = (fate(1), fate(2));
         assert_ne!(fate_a, fate_b, "pairs must draw from distinct streams");
     }
 
@@ -384,15 +348,6 @@ mod tests {
         let a: Vec<bool> = (0..64).map(|t| plan.node_up(2, 0, t)).collect();
         let b: Vec<bool> = (0..64).map(|t| plan.node_up(2, 1, t)).collect();
         assert_ne!(a, b, "nodes must churn independently");
-    }
-
-    #[test]
-    fn probe_outcome_accessors() {
-        assert_eq!(ProbeOutcome::Ok(3.5).ok(), Some(3.5));
-        assert_eq!(ProbeOutcome::Lost.ok(), None);
-        assert!(ProbeOutcome::Ok(1.0).is_ok());
-        assert!(ProbeOutcome::TimedOut.failed());
-        assert!(!ProbeOutcome::Ok(1.0).failed());
     }
 
     #[test]

@@ -21,16 +21,16 @@
 //!   India" that dominate the prediction-error tail) — [`planetlab`];
 //! * optional deterministic fault injection — per-link probe loss and
 //!   timeouts, epoch-based node crash/rejoin churn — [`faults`]. The
-//!   default is no faults; an empty [`FaultPlan`] leaves every probe API
-//!   byte-identical to the clean network;
+//!   default is no faults: under an empty [`FaultPlan`] every node is up
+//!   and every probe gets through;
 //! * optional eclipse-biased referral steering (registrar poisoning) for
 //!   the adversary suite — [`eclipse`]. The empty [`EclipsePlan`] is
 //!   likewise a byte-identical no-op.
 //!
-//! Everything is driven by a single `u64` seed: a measurement between
-//! nodes `(a, b)` at probe-nonce `n` is a pure function of
-//! `(seed, a, b, n)`, so experiments are exactly reproducible and
-//! independent of iteration order.
+//! Everything is driven by a single `u64` seed: a probe between nodes
+//! `(a, b)` at probe-nonce `n` is keyed, gated and measured as a pure
+//! function of `(seed, a, b, n)` ([`network`]), so experiments are
+//! exactly reproducible and independent of iteration order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,10 +45,10 @@ pub mod rtt;
 pub mod topology;
 
 pub use eclipse::EclipsePlan;
-pub use faults::{ChurnModel, FaultPlan, LinkFaults, ProbeOutcome};
+pub use faults::{ChurnModel, FaultPlan, LinkFaults, ProbeFate};
 pub use fluctuation::{FluctuationModel, NoiseDraw, NoiseProfile};
 pub use kinggen::{KingConfig, Placement, RegionLayout};
-pub use network::{Network, ProbeBatch, ProbeKey, ProbePair, ProbeRequest};
+pub use network::{Network, ProbeBatch, ProbeKey, ProbeRequest};
 pub use planetlab::PlanetLabConfig;
 pub use rtt::{RttSource, RttStore, SynthRtt};
 pub use topology::RttMatrix;

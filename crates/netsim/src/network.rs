@@ -1,12 +1,22 @@
 //! The measurable network: topology + stationary noise, seeded.
 //!
 //! A [`Network`] answers the single question every embedding protocol
-//! asks: *what RTT do I measure to that node right now?* Measurements are
-//! pure functions of `(seed, a, b, nonce)`: repeating a probe with the
-//! same nonce reproduces the same value, and experiment results never
-//! depend on the order in which nodes happen to probe.
+//! asks: *what RTT do I measure to that node right now?* A probe takes
+//! three operations:
+//!
+//! * **key** the pair once ([`Network::probe_key`]): base RTT, noise
+//!   stream and link-fault stream, as plain values a driver caches;
+//! * **gate** each logical probe through the attached fault plan
+//!   ([`Network::link_fate`]; endpoint liveness is [`Network::node_up`]);
+//! * **measure** it: the median of three noisy probes, one at a time
+//!   ([`Network::smoothed`]) or a whole tick's at once
+//!   ([`Network::smoothed_batch`]), bit-identical either way.
+//!
+//! Measurements are pure functions of `(seed, a, b, nonce)`: repeating a
+//! probe with the same nonce reproduces the same value, and experiment
+//! results never depend on the order in which nodes happen to probe.
 
-use crate::faults::{link_key, FaultPlan, ProbeOutcome};
+use crate::faults::{link_key, FaultPlan, ProbeFate};
 use crate::fluctuation::{FluctuationModel, NoiseDraw, NoiseProfile};
 use crate::kinggen::{KingConfig, Topology};
 use crate::planetlab::PlanetLab;
@@ -166,9 +176,8 @@ impl Network {
         }
     }
 
-    /// Attach a fault plan. The default plan is empty (no faults); an
-    /// empty plan keeps every probe API byte-identical to the seed
-    /// behavior.
+    /// Attach a fault plan. The default plan is empty (no faults): every
+    /// node is up and every link gate lets its probe through.
     ///
     /// # Panics
     /// Panics if the plan is invalid (see [`FaultPlan::validate`]).
@@ -291,37 +300,12 @@ impl Network {
         self.rtt.median_base_rtt()
     }
 
-    /// Measure the RTT from `a` to `b` with probe nonce `nonce`.
-    ///
-    /// The nonce makes repeated probes between the same pair independent:
-    /// callers advance it per probe (the simulation driver uses its global
-    /// step counter). The same `(a, b, nonce)` — in either direction —
-    /// always reproduces the same measurement.
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either index is out of range.
-    pub fn measure_rtt(&self, a: usize, b: usize, nonce: u64) -> f64 {
-        self.pair(a, b).measure(nonce)
-    }
-
-    /// Set up the probe pair `(a, b)` once — base RTT, noise stream key,
-    /// combined profile and link-fault key — so that repeated probes
-    /// between the two nodes (the median-of-3 exchange, retries) pay
-    /// for the setup once. Every probe API of this type goes through a
-    /// [`ProbePair`].
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either index is out of range.
-    pub fn pair(&self, a: usize, b: usize) -> ProbePair<'_> {
-        self.pair_from_key(a, b, self.probe_key(a, b))
-    }
-
-    /// The setup of the probe pair `(a, b)` as plain values: a
-    /// simulation driver keeps one beside each neighbour id and builds
-    /// each step's [`ProbePair`] from it with [`Network::keyed_pair`],
-    /// skipping the base-RTT store read and the key hashes. The key
-    /// depends on the seed, the topology and the pair only; attaching a
-    /// fault plan never makes it stale.
+    /// The setup of the probe pair `(a, b)` as plain values: base RTT,
+    /// noise stream key and link-fault key. A simulation driver keeps
+    /// one beside each neighbour id, so a step's probe skips the
+    /// base-RTT store read and the key hashes. The key is symmetric in
+    /// direction and depends on the seed, the topology and the pair
+    /// only; attaching a fault plan never makes it stale.
     ///
     /// # Panics
     /// Panics if `a == b` or either index is out of range.
@@ -352,29 +336,6 @@ impl Network {
         }
     }
 
-    /// The probe pair `(a, b)` from its cached [`ProbeKey`]. Debug
-    /// builds check the key against a fresh [`Network::probe_key`].
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either index is out of range.
-    pub fn keyed_pair(&self, a: usize, b: usize, key: ProbeKey) -> ProbePair<'_> {
-        assert!(a != b, "a node cannot probe itself");
-        debug_assert_eq!(
-            key,
-            self.probe_key(a, b),
-            "cached probe key of ({a}, {b}) is stale"
-        );
-        self.pair_from_key(a, b, key)
-    }
-
-    fn pair_from_key(&self, a: usize, b: usize, key: ProbeKey) -> ProbePair<'_> {
-        ProbePair {
-            network: self,
-            key,
-            profile: self.combined_profile(a, b),
-        }
-    }
-
     /// Fill `up` with every node's liveness at simulation tick `tick` — one
     /// churn draw per node, so a tick's probes test liveness by index
     /// instead of re-hashing both endpoints per probe.
@@ -398,80 +359,52 @@ impl Network {
         &self.profiles[node]
     }
 
-    /// Measure the RTT as deployed coordinate systems do: the **median of
-    /// three back-to-back probes**. Probe smoothing is universal in
-    /// practice (the King method takes the best of repeated queries;
-    /// Vivaldi implementations filter per-neighbor RTTs), and it is what
-    /// keeps a single OS-scheduling spike from polluting an embedding
-    /// step. Deterministic in `(a, b, nonce)` like
-    /// [`Network::measure_rtt`]; consumes nonces `3·nonce .. 3·nonce+3`
-    /// of the pair's probe stream.
-    pub fn measure_rtt_smoothed(&self, a: usize, b: usize, nonce: u64) -> f64 {
-        self.pair(a, b).smoothed(nonce)
-    }
-
-    /// Fallible variant of [`Network::measure_rtt`]: the probe is gated
-    /// through the attached [`FaultPlan`] before it is measured.
-    ///
-    /// A probe to or from a crashed node times out; otherwise the plan's
-    /// per-link loss/timeout draw (a pure function of `(seed, a, b,
-    /// nonce)` on a stream disjoint from measurement noise) decides its
-    /// fate. A completed probe returns exactly the value
-    /// [`Network::measure_rtt`] would: enabling faults never perturbs
-    /// the measurements that do get through, and an empty plan makes
-    /// this a zero-cost wrapper.
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either index is out of range.
-    pub fn try_measure_rtt(&self, a: usize, b: usize, nonce: u64, tick: u64) -> ProbeOutcome {
-        let pair = self.pair(a, b);
-        if !self.endpoints_up(a, b, tick) {
-            return ProbeOutcome::TimedOut;
-        }
-        match pair.link_fate(nonce) {
-            Some(failure) => failure,
-            None => ProbeOutcome::Ok(pair.measure(nonce)),
-        }
-    }
-
-    /// Fallible variant of [`Network::measure_rtt_smoothed`]. The
-    /// median-of-3 exchange is gated as one logical probe: a single
-    /// fault draw at `nonce` decides whether the whole exchange
-    /// completes, so a successful faulty-mode probe is bit-identical to
-    /// the clean smoothed measurement at the same nonce.
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either index is out of range.
-    pub fn try_measure_rtt_smoothed(
-        &self,
-        a: usize,
-        b: usize,
-        nonce: u64,
-        tick: u64,
-    ) -> ProbeOutcome {
-        let pair = self.pair(a, b);
-        if !self.endpoints_up(a, b, tick) {
-            return ProbeOutcome::TimedOut;
-        }
-        pair.try_smoothed(nonce)
-    }
-
-    /// Whether both endpoints are up at `tick` (always, on an empty plan).
-    fn endpoints_up(&self, a: usize, b: usize, tick: u64) -> bool {
-        self.faults.is_empty() || (self.node_up(a, tick) && self.node_up(b, tick))
-    }
-
-    /// The link-fault gate of the pair keyed by `key` at `nonce`
-    /// ([`ProbePair::link_fate`]): a pure function of the key and the
-    /// nonce, so a caller can settle a probe's fate before measuring it.
-    pub fn link_fate(&self, key: &ProbeKey, nonce: u64) -> Option<ProbeOutcome> {
+    /// The link-fault gate of the logical probe at `nonce` over the pair
+    /// keyed by `key`: `None` when it gets through, else `Lost` or
+    /// `TimedOut`. The plan's loss/timeout draw is a pure function of the
+    /// key and the nonce, on a stream disjoint from measurement noise,
+    /// so a caller settles a probe's fate before measuring it and faults
+    /// never perturb the measurements that do get through. Endpoint
+    /// liveness is the caller's to check ([`Network::node_up`],
+    /// [`Network::fill_up_mask`]). Always `None` on an empty plan.
+    pub fn link_fate(&self, key: &ProbeKey, nonce: u64) -> Option<ProbeFate> {
         self.faults.link_fate(key.link_key, nonce)
     }
 
+    /// Measure the RTT from `a` to `b`, keyed by `key`, as deployed
+    /// coordinate systems do: the **median of three back-to-back
+    /// probes**. Probe smoothing is universal in practice (the King
+    /// method takes the best of repeated queries; Vivaldi implementations
+    /// filter per-neighbor RTTs), and it is what keeps a single
+    /// OS-scheduling spike from polluting an embedding step.
+    ///
+    /// The nonce makes repeated probes between the same pair independent;
+    /// the same `(a, b, nonce)`, in either direction, always reproduces
+    /// the same value. The exchange consumes nonces `3·nonce .. 3·nonce+3`
+    /// of the pair's noise stream and is gated as one logical probe by
+    /// [`Network::link_fate`] at `nonce`. Debug builds check `key`
+    /// against a fresh [`Network::probe_key`].
+    ///
+    /// # Panics
+    /// Panics if `a == b` or either index is out of range.
+    pub fn smoothed(&self, a: usize, b: usize, key: &ProbeKey, nonce: u64) -> f64 {
+        assert!(a != b, "a node cannot probe itself");
+        debug_assert_eq!(
+            *key,
+            self.probe_key(a, b),
+            "cached probe key of ({a}, {b}) is stale"
+        );
+        let profile = self.combined_profile(a, b);
+        let [p0, p1, p2] = smoothed_nonces(nonce).map(|nonce| {
+            let mut rng = stream_rng(key.noise_key, nonce);
+            self.noise.measure(key.base, profile, &mut rng)
+        });
+        median3(p0, p1, p2)
+    }
+
     /// Every request's smoothed probe, into `out` (cleared first):
-    /// `out[i]` is bit for bit
-    /// `self.keyed_pair(r.a, r.b, r.key).smoothed(r.nonce)` for
-    /// `r = requests[i]`.
+    /// `out[i]` is bit for bit `self.smoothed(r.a, r.b, &r.key, r.nonce)`
+    /// for `r = requests[i]`.
     ///
     /// The batch runs in three flat passes over `buffers`: seed all
     /// `3 · len` noise streams, make every stream's draws
@@ -552,7 +485,7 @@ pub struct ProbeRequest {
     pub b: usize,
     /// The pair's [`Network::probe_key`].
     pub key: ProbeKey,
-    /// The logical probe's nonce (see [`ProbePair::smoothed`]).
+    /// The logical probe's nonce (see [`Network::smoothed`]).
     pub nonce: u64,
 }
 
@@ -566,51 +499,6 @@ pub struct ProbeBatch {
     profiles: Vec<NoiseProfile>,
     /// Each stream's draws.
     draws: Vec<NoiseDraw>,
-}
-
-/// One probe pair of a [`Network`], set up once by [`Network::pair`]
-/// or [`Network::keyed_pair`]: every measurement between the two nodes
-/// — single, smoothed, gated or not — is drawn from here, bit-identical
-/// to the per-call APIs.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbePair<'n> {
-    network: &'n Network,
-    key: ProbeKey,
-    profile: &'n NoiseProfile,
-}
-
-impl ProbePair<'_> {
-    /// One probe at `nonce` ([`Network::measure_rtt`]).
-    pub fn measure(&self, nonce: u64) -> f64 {
-        let mut rng = stream_rng(self.key.noise_key, nonce);
-        self.network
-            .noise
-            .measure(self.key.base, self.profile, &mut rng)
-    }
-
-    /// The median of three probes at nonces `3·nonce .. 3·nonce+3`
-    /// ([`Network::measure_rtt_smoothed`]).
-    pub fn smoothed(&self, nonce: u64) -> f64 {
-        let [n0, n1, n2] = smoothed_nonces(nonce);
-        median3(self.measure(n0), self.measure(n1), self.measure(n2))
-    }
-
-    /// The link-fault gate alone: `None` when the logical probe at
-    /// `nonce` gets through, else its failure. Endpoint liveness is the
-    /// caller's to check (see [`Network::fill_up_mask`]).
-    pub fn link_fate(&self, nonce: u64) -> Option<ProbeOutcome> {
-        self.network.link_fate(&self.key, nonce)
-    }
-
-    /// A smoothed probe through the link-fault gate (endpoint liveness
-    /// is the caller's): [`Network::try_measure_rtt_smoothed`] between
-    /// two live nodes.
-    pub fn try_smoothed(&self, nonce: u64) -> ProbeOutcome {
-        match self.link_fate(nonce) {
-            Some(failure) => failure,
-            None => ProbeOutcome::Ok(self.smoothed(nonce)),
-        }
-    }
 }
 
 /// The probe-stream nonces `3·nonce .. 3·nonce+3` of the smoothed probe
@@ -640,6 +528,7 @@ fn median3(a: f64, b: f64, c: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::ChurnModel;
     use crate::kinggen::KingConfig;
     use crate::planetlab::PlanetLabConfig;
     use ices_stats::OnlineStats;
@@ -649,17 +538,23 @@ mod tests {
         Network::from_king(topo, 9)
     }
 
+    /// The smoothed probe of `(a, b)` at `nonce` under a fresh key.
+    fn probe(net: &Network, a: usize, b: usize, nonce: u64) -> f64 {
+        net.smoothed(a, b, &net.probe_key(a, b), nonce)
+    }
+
     #[test]
     fn measurement_is_deterministic_per_nonce() {
         let net = network();
-        assert_eq!(net.measure_rtt(3, 17, 5), net.measure_rtt(3, 17, 5));
-        assert_ne!(net.measure_rtt(3, 17, 5), net.measure_rtt(3, 17, 6));
+        assert_eq!(probe(&net, 3, 17, 5), probe(&net, 3, 17, 5));
+        assert_ne!(probe(&net, 3, 17, 5), probe(&net, 3, 17, 6));
     }
 
     #[test]
     fn measurement_symmetric_in_direction() {
         let net = network();
-        assert_eq!(net.measure_rtt(3, 17, 5), net.measure_rtt(17, 3, 5));
+        assert_eq!(net.probe_key(3, 17), net.probe_key(17, 3));
+        assert_eq!(probe(&net, 3, 17, 5), probe(&net, 17, 3, 5));
     }
 
     #[test]
@@ -668,7 +563,7 @@ mod tests {
         let base = net.base_rtt(1, 2);
         let mut s = OnlineStats::new();
         for nonce in 0..5000 {
-            s.push(net.measure_rtt(1, 2, nonce));
+            s.push(probe(&net, 1, 2, nonce));
         }
         assert!(
             (s.mean() - base).abs() / base < 0.05,
@@ -682,7 +577,7 @@ mod tests {
         let topo = KingConfig::small(10).generate(4);
         let net = Network::noiseless(topo.matrix.clone(), 4);
         for nonce in 0..10 {
-            assert_eq!(net.measure_rtt(0, 5, nonce), net.base_rtt(0, 5));
+            assert_eq!(probe(&net, 0, 5, nonce), net.base_rtt(0, 5));
         }
     }
 
@@ -702,9 +597,9 @@ mod tests {
         let mut s_norm = OnlineStats::new();
         for nonce in 0..4000 {
             let b = net.base_rtt(p, partner);
-            s_path.push((net.measure_rtt(p, partner, nonce) - b) / b);
+            s_path.push((probe(&net, p, partner, nonce) - b) / b);
             let b = net.base_rtt(normal, partner);
-            s_norm.push((net.measure_rtt(normal, partner, nonce) - b) / b);
+            s_norm.push((probe(&net, normal, partner, nonce) - b) / b);
         }
         assert!(
             s_path.variance() > 2.0 * s_norm.variance(),
@@ -712,20 +607,6 @@ mod tests {
             s_path.variance(),
             s_norm.variance()
         );
-    }
-
-    #[test]
-    fn smoothed_probe_is_median_and_deterministic() {
-        let net = network();
-        let m = net.measure_rtt_smoothed(3, 17, 9);
-        assert_eq!(m, net.measure_rtt_smoothed(3, 17, 9));
-        let mut probes = [
-            net.measure_rtt(3, 17, 27),
-            net.measure_rtt(3, 17, 28),
-            net.measure_rtt(3, 17, 29),
-        ];
-        probes.sort_by(f64::total_cmp);
-        assert_eq!(m, probes[1]);
     }
 
     #[test]
@@ -744,8 +625,8 @@ mod tests {
         let mut raw = OnlineStats::new();
         let mut smoothed = OnlineStats::new();
         for nonce in 0..4000 {
-            raw.push(net.measure_rtt(0, 1, nonce + 100_000));
-            smoothed.push(net.measure_rtt_smoothed(0, 1, nonce));
+            raw.push(reference_probe(&net, 0, 1, nonce + 100_000));
+            smoothed.push(probe(&net, 0, 1, nonce));
         }
         assert!(
             smoothed.variance() < raw.variance() / 2.0,
@@ -780,7 +661,7 @@ mod tests {
     }
 
     /// Test-local reference for the faulty smoothed probe: a down
-    /// endpoint times out, then one `FALT` draw keyed by `(seed, pair,
+    /// endpoint fails it, then one `FALT` draw keyed by `(seed, pair,
     /// nonce)` decides loss or timeout.
     fn reference_try_smoothed(
         net: &Network,
@@ -788,9 +669,9 @@ mod tests {
         b: usize,
         nonce: u64,
         tick: u64,
-    ) -> ProbeOutcome {
+    ) -> Result<u64, ProbeFate> {
         if !net.node_up(a, tick) || !net.node_up(b, tick) {
-            return ProbeOutcome::TimedOut;
+            return Err(ProbeFate::PeerDown);
         }
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let pair_key = derive((lo as u64) << 32 | hi as u64, streams::FALT);
@@ -798,11 +679,11 @@ mod tests {
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let link = net.fault_plan().link;
         if u < link.loss_probability {
-            ProbeOutcome::Lost
+            Err(ProbeFate::Lost)
         } else if u < link.loss_probability + link.timeout_probability {
-            ProbeOutcome::TimedOut
+            Err(ProbeFate::TimedOut)
         } else {
-            ProbeOutcome::Ok(reference_smoothed(net, a, b, nonce))
+            Ok(reference_smoothed(net, a, b, nonce).to_bits())
         }
     }
 
@@ -826,29 +707,21 @@ mod tests {
         })
     }
 
+    /// Keying with a held base RTT gives the fresh key, the smoothed
+    /// probe is the reference median of three, and an empty plan lets
+    /// every probe through.
     #[test]
     fn probe_path_matches_reference_bitwise() {
         for net in [network(), spiky_planetlab(60, 5)] {
             for (a, b, nonce) in probe_cases(net.len(), 3000) {
-                assert_eq!(
-                    net.measure_rtt(a, b, nonce).to_bits(),
-                    reference_probe(&net, a, b, nonce).to_bits(),
-                    "single probe ({a}, {b}, {nonce})"
-                );
-                let expected = reference_smoothed(&net, a, b, nonce).to_bits();
-                assert_eq!(net.measure_rtt_smoothed(a, b, nonce).to_bits(), expected);
                 let key = net.probe_key_with_base(a, b, net.base_rtt(a, b));
                 assert_eq!(key, net.probe_key(a, b));
                 assert_eq!(
-                    net.keyed_pair(a, b, key).smoothed(nonce).to_bits(),
-                    expected
+                    net.smoothed(a, b, &key, nonce).to_bits(),
+                    reference_smoothed(&net, a, b, nonce).to_bits(),
+                    "smoothed probe ({a}, {b}, {nonce})"
                 );
-                assert_eq!(
-                    net.try_measure_rtt_smoothed(a, b, nonce, 0)
-                        .ok()
-                        .map(f64::to_bits),
-                    Some(expected)
-                );
+                assert_eq!(net.link_fate(&key, nonce), None);
             }
         }
     }
@@ -902,7 +775,7 @@ mod tests {
                 for (r, &rtt) in requests.iter().zip(&out) {
                     proptest::prop_assert_eq!(
                         rtt.to_bits(),
-                        net.keyed_pair(r.a, r.b, r.key).smoothed(r.nonce).to_bits(),
+                        net.smoothed(r.a, r.b, &r.key, r.nonce).to_bits(),
                         "request {:?}",
                         r
                     );
@@ -921,52 +794,45 @@ mod tests {
         }
     }
 
+    /// The simulation drivers' shape — liveness from the tick's mask,
+    /// then the link gate on the cached key, then the smoothed probe —
+    /// decides and measures every probe as the reference does.
     #[test]
     fn faulty_probe_path_matches_reference_bitwise() {
-        use crate::faults::{ChurnModel, FaultPlan};
         let plan = FaultPlan::lossy(0.1, 0.025)
             .with_churn(ChurnModel::new(16, 0.05))
             .with_node_churn(3, ChurnModel::new(8, 0.5));
-        let (mut ok, mut lost, mut timed_out) = (0, 0, 0);
+        let (mut ok, mut lost, mut timed_out, mut down) = (0, 0, 0, 0);
         for mut net in [network(), spiky_planetlab(60, 5)] {
             net.set_fault_plan(plan.clone());
             let mut up = Vec::new();
             for (a, b, nonce) in probe_cases(net.len(), 3000) {
                 let tick = nonce % 97;
                 let expected = reference_try_smoothed(&net, a, b, nonce, tick);
-                assert_eq!(net.try_measure_rtt_smoothed(a, b, nonce, tick), expected);
                 match expected {
-                    ProbeOutcome::Ok(_) => ok += 1,
-                    ProbeOutcome::Lost => lost += 1,
-                    ProbeOutcome::TimedOut => timed_out += 1,
+                    Ok(_) => ok += 1,
+                    Err(ProbeFate::Lost) => lost += 1,
+                    Err(ProbeFate::TimedOut) => timed_out += 1,
+                    Err(ProbeFate::PeerDown) => down += 1,
                 }
-                // The simulation drivers' shape: liveness from the tick's mask, then
-                // the link gate alone on a pair set up once.
                 net.fill_up_mask(tick, &mut up);
-                let driven = if up[a] && up[b] {
-                    net.keyed_pair(a, b, net.probe_key(a, b))
-                        .try_smoothed(nonce)
+                let key = net.probe_key(a, b);
+                let driven = if !(up[a] && up[b]) {
+                    Err(ProbeFate::PeerDown)
+                } else if let Some(fate) = net.link_fate(&key, nonce) {
+                    Err(fate)
                 } else {
-                    ProbeOutcome::TimedOut
+                    Ok(net.smoothed(a, b, &key, nonce).to_bits())
                 };
                 assert_eq!(
                     driven, expected,
                     "mask + link gate ({a}, {b}, {nonce}, {tick})"
                 );
-                // The single-probe gate draws the same fate.
-                let single = net.try_measure_rtt(a, b, nonce, tick);
-                match expected {
-                    ProbeOutcome::Ok(_) => assert_eq!(
-                        single.ok().map(f64::to_bits),
-                        Some(reference_probe(&net, a, b, nonce).to_bits())
-                    ),
-                    failure => assert_eq!(single, failure),
-                }
             }
         }
         assert!(
-            ok > 1000 && lost > 100 && timed_out > 100,
-            "{ok} ok, {lost} lost, {timed_out} timed out"
+            ok > 1000 && lost > 100 && timed_out > 50 && down > 100,
+            "{ok} ok, {lost} lost, {timed_out} timed out, {down} down"
         );
     }
 
@@ -974,7 +840,6 @@ mod tests {
     /// after the key was taken: it never encodes the plan.
     #[test]
     fn probe_keys_do_not_depend_on_the_fault_plan() {
-        use crate::faults::{ChurnModel, FaultPlan};
         let plan = FaultPlan::lossy(0.1, 0.025).with_churn(ChurnModel::new(16, 0.05));
         let mut net = network();
         let cases: Vec<_> = probe_cases(net.len(), 500).collect();
@@ -994,15 +859,14 @@ mod tests {
                 "plan set first ({a}, {b})"
             );
             assert_eq!(
-                net.keyed_pair(a, b, key).try_smoothed(nonce),
-                net.pair(a, b).try_smoothed(nonce)
+                net.link_fate(&key, nonce),
+                planned_first.link_fate(&key, nonce)
             );
         }
     }
 
     #[test]
     fn up_mask_matches_node_up() {
-        use crate::faults::{ChurnModel, FaultPlan};
         let mut net = network();
         net.set_fault_plan(FaultPlan::none().with_churn(ChurnModel::new(4, 0.3)));
         let mut up = Vec::new();
@@ -1034,55 +898,22 @@ mod tests {
     }
 
     #[test]
-    fn try_measure_with_empty_plan_matches_infallible_path() {
-        let net = network();
-        for nonce in 0..32 {
-            assert_eq!(
-                net.try_measure_rtt(3, 17, nonce, 0),
-                crate::faults::ProbeOutcome::Ok(net.measure_rtt(3, 17, nonce))
-            );
-            assert_eq!(
-                net.try_measure_rtt_smoothed(3, 17, nonce, 0),
-                crate::faults::ProbeOutcome::Ok(net.measure_rtt_smoothed(3, 17, nonce))
-            );
-        }
-    }
-
-    #[test]
     fn completed_faulty_probes_match_clean_measurements() {
         let mut net = network();
-        net.set_fault_plan(crate::faults::FaultPlan::lossy(0.3, 0.1));
+        net.set_fault_plan(FaultPlan::lossy(0.3, 0.1));
         let clean = network();
+        let key = net.probe_key(2, 9);
         let mut completed = 0;
         for nonce in 0..200 {
-            if let crate::faults::ProbeOutcome::Ok(rtt) = net.try_measure_rtt(2, 9, nonce, 0) {
-                assert_eq!(rtt, clean.measure_rtt(2, 9, nonce));
+            if net.link_fate(&key, nonce).is_none() {
+                assert_eq!(net.smoothed(2, 9, &key, nonce), probe(&clean, 2, 9, nonce));
                 completed += 1;
-            }
-            if let crate::faults::ProbeOutcome::Ok(rtt) =
-                net.try_measure_rtt_smoothed(2, 9, nonce, 0)
-            {
-                assert_eq!(rtt, clean.measure_rtt_smoothed(2, 9, nonce));
             }
         }
         assert!(
             completed > 80,
             "~60% of probes should complete: {completed}"
         );
-    }
-
-    #[test]
-    fn probes_to_crashed_nodes_time_out() {
-        use crate::faults::{ChurnModel, FaultPlan, ProbeOutcome};
-        let mut net = network();
-        net.set_fault_plan(
-            FaultPlan::none().with_node_churn(5, ChurnModel::new(u64::MAX, 0.999_999)),
-        );
-        assert!(!net.node_up(5, 0), "node 5 should be crashed");
-        assert!(net.node_up(6, 0), "other nodes stay up");
-        assert_eq!(net.try_measure_rtt(5, 6, 0, 0), ProbeOutcome::TimedOut);
-        assert_eq!(net.try_measure_rtt(6, 5, 0, 0), ProbeOutcome::TimedOut);
-        assert!(net.try_measure_rtt(6, 7, 0, 0).is_ok());
     }
 
     #[test]
@@ -1110,15 +941,15 @@ mod tests {
         // Warm the cache on one side only; equality and measurements
         // must not notice.
         let warm = net.clone();
-        warm.measure_rtt(3, 17, 5);
+        probe(&warm, 3, 17, 5);
         assert_eq!(net, warm);
-        assert_eq!(net.measure_rtt(3, 17, 5), warm.measure_rtt(3, 17, 5));
+        assert_eq!(probe(&net, 3, 17, 5), probe(&warm, 3, 17, 5));
     }
 
     #[test]
     fn fault_plan_survives_serde() {
         let mut net = network();
-        net.set_fault_plan(crate::faults::FaultPlan::lossy(0.1, 0.0));
+        net.set_fault_plan(FaultPlan::lossy(0.1, 0.0));
         let json = serde_json::to_string(&net).expect("serialize");
         let back: Network = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(net, back);
@@ -1137,13 +968,9 @@ mod tests {
         assert_eq!(streamed.len(), 40);
         for nonce in 0..16 {
             assert_eq!(
-                dense.measure_rtt(3, 17, nonce).to_bits(),
-                streamed.measure_rtt(3, 17, nonce).to_bits(),
+                probe(&dense, 17, 3, nonce).to_bits(),
+                probe(&streamed, 17, 3, nonce).to_bits(),
                 "noisy measurements must agree bit-for-bit"
-            );
-            assert_eq!(
-                dense.measure_rtt_smoothed(17, 3, nonce).to_bits(),
-                streamed.measure_rtt_smoothed(17, 3, nonce).to_bits()
             );
         }
         for a in 0..40 {
@@ -1161,13 +988,11 @@ mod tests {
     #[test]
     fn streamed_network_faults_and_serde_work_without_a_matrix() {
         let mut net = Network::from_king_streamed(KingConfig::small(30), 4);
-        net.set_fault_plan(crate::faults::FaultPlan::lossy(0.2, 0.05));
-        let mut completed = 0;
-        for nonce in 0..100 {
-            if net.try_measure_rtt(1, 2, nonce, 0).is_ok() {
-                completed += 1;
-            }
-        }
+        net.set_fault_plan(FaultPlan::lossy(0.2, 0.05));
+        let key = net.probe_key(1, 2);
+        let completed = (0..100)
+            .filter(|&nonce| net.link_fate(&key, nonce).is_none())
+            .count();
         assert!(
             completed > 40 && completed < 100,
             "faults gate probes: {completed}"
@@ -1175,7 +1000,7 @@ mod tests {
         let json = serde_json::to_string(&net).expect("serialize");
         let back: Network = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(net, back);
-        assert_eq!(net.measure_rtt(1, 2, 7), back.measure_rtt(1, 2, 7));
+        assert_eq!(probe(&net, 1, 2, 7), probe(&back, 1, 2, 7));
     }
 
     #[test]
@@ -1202,7 +1027,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot probe itself")]
     fn rejects_self_probe() {
-        network().measure_rtt(4, 4, 0);
+        let net = network();
+        net.smoothed(4, 4, &net.probe_key(4, 5), 0);
     }
 
     #[test]

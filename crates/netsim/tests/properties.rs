@@ -63,12 +63,11 @@ proptest! {
     ) {
         let pl = PlanetLabConfig::small(nodes).generate(seed);
         let net = Network::from_planetlab(pl, seed);
-        let m1 = net.measure_rtt(0, 1, nonce);
-        let m2 = net.measure_rtt(1, 0, nonce);
-        prop_assert_eq!(m1, m2, "probe symmetric in direction");
-        prop_assert!(m1 > 0.0 && m1.is_finite());
-        let s = net.measure_rtt_smoothed(0, 1, nonce);
-        prop_assert_eq!(s, net.measure_rtt_smoothed(0, 1, nonce));
+        let key = net.probe_key(0, 1);
+        prop_assert_eq!(key, net.probe_key(1, 0), "key symmetric in direction");
+        let s = net.smoothed(0, 1, &key, nonce);
+        prop_assert_eq!(s.to_bits(), net.smoothed(0, 1, &key, nonce).to_bits());
+        prop_assert_eq!(s.to_bits(), net.smoothed(1, 0, &key, nonce).to_bits(), "probe symmetric in direction");
         prop_assert!(s > 0.0 && s.is_finite());
     }
 

@@ -5,16 +5,15 @@
 //! drivers advance a [`TickClock`] once per tick, so every journal
 //! event and every snapshot delta is keyed to deterministic simulation
 //! time and the DET02 invariant (no wall clock outside `crates/bench`)
-//! holds for the whole subsystem. Benchmarks that want real elapsed
-//! time implement `Clock` over `std::time::Instant` on their side of
-//! the fence (see `ices_bench::WallClock`); this crate never touches
-//! `std::time`.
+//! holds for the whole subsystem. The one wall-clock impl lives on the
+//! other side of the fence, in the service daemon
+//! (`ices_svc::ServiceClock`); this crate never touches `std::time`.
 
 /// A monotone source of `u64` timestamps.
 ///
 /// Implementations must be cheap (`now` is called on every journal
 /// event) and monotone non-decreasing. The unit is unspecified — the
-/// simulation uses ticks, the bench-sanctioned impl uses milliseconds.
+/// simulation uses ticks, the daemon's wall clock milliseconds.
 pub trait Clock {
     /// Current timestamp.
     fn now(&self) -> u64;

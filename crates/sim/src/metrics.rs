@@ -34,20 +34,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Merge another fault report into this one.
-    pub fn merge(&mut self, other: &FaultReport) {
-        self.lost_probes += other.lost_probes;
-        self.timed_out_probes += other.timed_out_probes;
-        self.peer_down_probes += other.peer_down_probes;
-        self.retried_probes += other.retried_probes;
-        self.coasted_steps += other.coasted_steps;
-        self.evictions += other.evictions;
-        self.node_down_ticks += other.node_down_ticks;
-        self.stale_filter_fallbacks += other.stale_filter_fallbacks;
-        self.deferred_arms += other.deferred_arms;
-        self.late_arms += other.late_arms;
-    }
-
     /// Probes that produced no measurement, of any failure kind.
     pub fn total_failed_probes(&self) -> u64 {
         self.lost_probes + self.timed_out_probes + self.peer_down_probes
@@ -76,18 +62,6 @@ pub struct AdversaryReport {
     pub drift_accumulated_ms: f64,
 }
 
-impl AdversaryReport {
-    /// Merge another adversary report into this one. The drift gauge
-    /// takes the maximum — it is a level, not a flow.
-    pub fn merge(&mut self, other: &AdversaryReport) {
-        self.active_lies += other.active_lies;
-        self.clamped_rtts += other.clamped_rtts;
-        self.cross_checks += other.cross_checks;
-        self.rejections += other.rejections;
-        self.drift_accumulated_ms = self.drift_accumulated_ms.max(other.drift_accumulated_ms);
-    }
-}
-
 /// Detection-quality report for one run (§5.1 metrics).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DetectionReport {
@@ -106,18 +80,6 @@ pub struct DetectionReport {
     /// Adversary/defense bookkeeping (all zero in honest defense-off
     /// runs).
     pub adversary: AdversaryReport,
-}
-
-impl DetectionReport {
-    /// Merge another report into this one.
-    pub fn merge(&mut self, other: &DetectionReport) {
-        self.confusion.merge(&other.confusion);
-        self.replacements += other.replacements;
-        self.reprieves += other.reprieves;
-        self.filter_refreshes += other.filter_refreshes;
-        self.faults.merge(&other.faults);
-        self.adversary.merge(&other.adversary);
-    }
 }
 
 /// System-accuracy report: how well final coordinates predict base RTTs
@@ -172,25 +134,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn detection_report_merges() {
-        let mut a = DetectionReport::default();
-        a.confusion.record(true, true);
-        a.replacements = 2;
-        a.faults.lost_probes = 4;
-        let mut b = DetectionReport::default();
-        b.confusion.record(false, false);
-        b.reprieves = 3;
-        b.faults.lost_probes = 1;
-        b.faults.evictions = 2;
-        a.merge(&b);
-        assert_eq!(a.confusion.total(), 2);
-        assert_eq!(a.replacements, 2);
-        assert_eq!(a.reprieves, 3);
-        assert_eq!(a.faults.lost_probes, 5);
-        assert_eq!(a.faults.evictions, 2);
-    }
-
-    #[test]
     fn fault_report_totals_failures() {
         let f = FaultReport {
             lost_probes: 3,
@@ -225,46 +168,5 @@ mod tests {
         assert!(r.ecdf().is_none());
         assert!(r.p95_ecdf().is_none());
         assert!(r.median().is_nan());
-    }
-
-    #[test]
-    fn adversary_report_merges_with_drift_as_a_level() {
-        let mut a = AdversaryReport {
-            active_lies: 10,
-            clamped_rtts: 1,
-            cross_checks: 6,
-            rejections: 2,
-            drift_accumulated_ms: 40.0,
-        };
-        let b = AdversaryReport {
-            active_lies: 5,
-            clamped_rtts: 0,
-            cross_checks: 3,
-            rejections: 1,
-            drift_accumulated_ms: 25.0,
-        };
-        a.merge(&b);
-        assert_eq!(a.active_lies, 15);
-        assert_eq!(a.clamped_rtts, 1);
-        assert_eq!(a.cross_checks, 9);
-        assert_eq!(a.rejections, 3);
-        assert_eq!(a.drift_accumulated_ms, 40.0, "gauge merges as max");
-    }
-
-    #[test]
-    fn fault_report_merges_arm_deferral_counters() {
-        let mut a = FaultReport {
-            deferred_arms: 2,
-            late_arms: 1,
-            ..FaultReport::default()
-        };
-        let b = FaultReport {
-            deferred_arms: 3,
-            late_arms: 2,
-            ..FaultReport::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.deferred_arms, 5);
-        assert_eq!(a.late_arms, 3);
     }
 }

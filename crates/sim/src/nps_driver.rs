@@ -28,13 +28,13 @@
 
 use crate::scenario::ScenarioConfig;
 use crate::secured::{
-    end_round, first_attempt, intake, secured_mut, Backend, Participant, ProbeFate, RoundEnd,
-    SecuredSim, Tally,
+    end_round, first_attempt, intake, secured_mut, Backend, Participant, RoundEnd, SecuredSim,
+    Tally,
 };
 use ices_attack::Adversary;
 use ices_coord::Embedding;
 use ices_core::{vet_sequences, SecureStep, VetEvent};
-use ices_netsim::ProbeKey;
+use ices_netsim::{ProbeFate, ProbeKey};
 use ices_nps::{Hierarchy, NpsConfig, NpsNode, Role};
 use ices_stats::rng::{derive, derive2, SimRng};
 use ices_stats::sample::sample_indices;
@@ -133,8 +133,10 @@ impl NpsSimulation {
     /// Build with explicit NPS parameters (tests use small 2-d spaces).
     ///
     /// # Panics
-    /// Panics on invalid configuration or a population too small for the
-    /// hierarchy.
+    /// Panics on invalid configuration, a population too small for the
+    /// hierarchy, or a Surveyor fraction the hierarchy cannot staff:
+    /// Surveyors are the landmarks plus promoted reference points, so
+    /// the configured count may not exceed their sum.
     pub fn with_nps_config(config: ScenarioConfig, nps: NpsConfig) -> Self {
         config.validate();
         nps.validate();
@@ -151,8 +153,14 @@ impl NpsSimulation {
         let rp_pool: Vec<usize> = (0..n)
             .filter(|&i| hierarchy.role[i] == Role::ReferencePoint)
             .collect();
-        if want > surveyors.len() && !rp_pool.is_empty() {
-            let extra = (want - surveyors.len()).min(rp_pool.len());
+        assert!(
+            want <= surveyors.len() + rp_pool.len(),
+            "{want} Surveyors configured, but the hierarchy has only {} landmarks \
+             and reference points",
+            surveyors.len() + rp_pool.len()
+        );
+        if want > surveyors.len() {
+            let extra = want - surveyors.len();
             for idx in sample_indices(&mut rng, rp_pool.len(), extra) {
                 surveyors.insert(rp_pool[idx]);
             }
@@ -313,16 +321,16 @@ impl NpsSimulation {
                     return effect;
                 }
                 for (k, &rp) in reference_points[node].iter().enumerate() {
-                    let link = network.keyed_pair(node, rp, rp_keys[node][k]);
+                    let key = &rp_keys[node][k];
                     let rtt = if !faulty {
-                        link.smoothed(probe_nonce(round, node, k))
+                        network.smoothed(node, rp, key, probe_nonce(round, node, k))
                     } else {
                         let nonce = |attempt| retry_nonce(round, node, k, attempt);
-                        match first_attempt(network, &rp_keys[node][k], rp, up, nonce) {
+                        match first_attempt(network, key, rp, up, nonce) {
                             Ok(attempt) => {
                                 effect.tally.retried += u32::from(attempt > 0);
                                 effect.ok_rps.push(rp);
-                                link.smoothed(nonce(attempt))
+                                network.smoothed(node, rp, key, nonce(attempt))
                             }
                             Err(fate) => {
                                 effect.failed_rps.push((rp, fate));
@@ -598,6 +606,18 @@ pub(crate) mod tests {
 
     fn build(seed: u64) -> NpsSimulation {
         NpsSimulation::with_nps_config(scenario(seed, 80), small_nps())
+    }
+
+    /// 80 nodes staff 8 landmarks and 2 × 5 reference points: half the
+    /// population as Surveyors is a shortfall, not a silent cap.
+    #[test]
+    #[should_panic(expected = "40 Surveyors configured, but the hierarchy has only 18")]
+    fn refuses_more_surveyors_than_the_hierarchy_staffs() {
+        let config = ScenarioConfig {
+            surveyors: SurveyorPlacement::Random { fraction: 0.5 },
+            ..scenario(1, 80)
+        };
+        NpsSimulation::with_nps_config(config, small_nps());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use ices_core::{
     calibrate, CalibrationOutcome, DetectorBank, EmConfig, ModelError, SecureNode, SecurityConfig,
     StateSpaceParams, SurveyorInfo, SurveyorRegistry,
 };
-use ices_netsim::{FaultPlan, Network, ProbeKey, ProbeOutcome};
+use ices_netsim::{FaultPlan, Network, ProbeFate, ProbeKey};
 use ices_obs::Journal;
 use ices_stats::rng::{derive2, SimRng};
 use rand::RngExt;
@@ -107,14 +107,6 @@ impl<E: Embedding> Participant<E> {
             Participant::Secured(s) => s.inner_mut(),
         }
     }
-}
-
-/// Why a probe produced no measurement (terminal, after retries).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProbeFate {
-    Lost,
-    TimedOut,
-    PeerDown,
 }
 
 /// A measured probe as the probing node receives it, after the
@@ -201,9 +193,7 @@ pub(crate) fn first_attempt(
     for attempt in 0..=PROBE_RETRIES {
         match network.link_fate(key, nonce(attempt)) {
             None => return Ok(attempt),
-            Some(ProbeOutcome::TimedOut) => fate = ProbeFate::TimedOut,
-            // The gate yields only `Lost` and `TimedOut`.
-            Some(_) => fate = ProbeFate::Lost,
+            Some(failure) => fate = failure,
         }
     }
     Err(fate)
@@ -583,46 +573,43 @@ impl<B: Backend> SecuredSim<B> {
     /// [`SecureNode`]. Returns `false` — deferring the arm — when the
     /// candidate draw has no live Surveyor at all (total outage).
     fn try_arm_node(&mut self, node: usize) -> bool {
-        let faulty = !self.network.fault_plan().is_empty();
+        let network = &self.network;
         let tick = self.tick;
         let mut candidates = self.registry.sample(JOIN_PROBE_CANDIDATES, &mut self.rng);
         // Registrar poisoning: an eclipsed victim is shown only the
         // honest share of Surveyor referrals (never zero — total
         // starvation would stall the join rather than subvert it).
         candidates.truncate(self.backend.surveyor_referrals(node, candidates.len()));
-        if faulty {
-            // Crashed Surveyors drop out of the candidate race before
-            // anything is probed; on a clean network every node is up,
-            // so this retain is a no-op and candidate indices (and
-            // their join nonces) are unchanged from seed behavior.
-            candidates.retain(|s| self.network.node_up(s.id, tick));
-        }
+        // Crashed Surveyors drop out of the candidate race before
+        // anything is probed; on a clean network every node is up, so
+        // candidate indices (and their join nonces) stay put.
+        candidates.retain(|s| network.node_up(s.id, tick));
         if candidates.is_empty() {
             return false;
         }
-        let network = &self.network;
         let mut best: Option<(usize, f64)> = None;
-        for (k, s) in candidates.iter().enumerate() {
-            // Join probes draw nonces from their own stream, keyed by
-            // (node, candidate index) — disjoint from the ticks' probe
-            // nonces.
-            let nonce = derive2(B::JOIN_STREAM, node as u64, k as u64);
-            let rtt = if !faulty {
-                network.measure_rtt_smoothed(node, s.id, nonce)
-            } else {
-                match network.try_measure_rtt_smoothed(node, s.id, nonce, tick) {
-                    ProbeOutcome::Ok(rtt) => rtt,
-                    ProbeOutcome::Lost | ProbeOutcome::TimedOut => continue,
+        // A crashed node reaches no candidate.
+        if network.node_up(node, tick) {
+            for (k, s) in candidates.iter().enumerate() {
+                // Join probes draw nonces from their own stream, keyed
+                // by (node, candidate index) — disjoint from the ticks'
+                // probe nonces.
+                let nonce = derive2(B::JOIN_STREAM, node as u64, k as u64);
+                let key = network.probe_key(node, s.id);
+                if network.link_fate(&key, nonce).is_some() {
+                    continue;
                 }
-            };
-            if best.map(|(_, d)| rtt < d).unwrap_or(true) {
-                best = Some((k, rtt));
+                let rtt = network.smoothed(node, s.id, &key, nonce);
+                if best.map(|(_, d)| rtt < d).unwrap_or(true) {
+                    best = Some((k, rtt));
+                }
             }
         }
-        // Every probe lost (heavy loss against live Surveyors): fall
-        // back to the first live candidate rather than refusing to arm
-        // — a stale choice beats no detector. The guard above makes the
-        // index safe: `candidates` is non-empty here by construction.
+        // Every probe failed (the node is down, or heavy loss against
+        // live Surveyors): fall back to the first live candidate rather
+        // than refusing to arm — a stale choice beats no detector. The
+        // guard above makes the index safe: `candidates` is non-empty
+        // here by construction.
         let chosen = best
             .map(|(k, _)| &candidates[k])
             // audit:allow(PANIC02): non-empty guard above (see comment)

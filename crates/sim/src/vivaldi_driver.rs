@@ -33,14 +33,14 @@
 
 use crate::scenario::{ScenarioConfig, SurveyorPlacement};
 use crate::secured::{
-    end_round, first_attempt, intake, secured_mut, Backend, Participant, ProbeFate, SecuredSim,
-    Tally, PROBE_RETRIES,
+    end_round, first_attempt, intake, secured_mut, Backend, Participant, SecuredSim, Tally,
+    PROBE_RETRIES,
 };
 use ices_attack::defense::witness_votes_against;
 use ices_attack::{Adversary, DefenseConfig};
 use ices_coord::Embedding;
 use ices_core::{vet_single, SecureStep, VetEvent};
-use ices_netsim::{EclipsePlan, Network, ProbeBatch, ProbeKey, ProbeRequest};
+use ices_netsim::{EclipsePlan, Network, ProbeBatch, ProbeFate, ProbeKey, ProbeRequest};
 use ices_stats::kmeans::kmeans;
 use ices_stats::rng::{derive, derive2, SimRng};
 use ices_stats::sample::sample_indices;
@@ -589,9 +589,10 @@ impl VivaldiSimulation {
                         if label_malicious && adversary.is_malicious(w) {
                             continue;
                         }
-                        let w_rtt = network.measure_rtt_smoothed(
+                        let w_rtt = network.smoothed(
                             w,
                             peer,
+                            &network.probe_key(w, peer),
                             derive2(derive(streams::XPRB, w as u64), tick, node as u64),
                         );
                         if witness_votes_against(

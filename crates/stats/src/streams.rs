@@ -30,7 +30,7 @@ pub const FALT: u64 = 0x4641_4C54;
 pub const CHRN: u64 = 0x4348_524E;
 /// Synthetic-topology median-RTT estimation samples (`netsim::rtt`).
 pub const MEDI: u64 = 0x4D45_4449;
-/// Per-link probe noise streams (`netsim::network::measure_rtt`).
+/// Per-link probe noise streams (`netsim::Network::probe_key`'s noise key).
 pub const PROB: u64 = 0x5052_4F42;
 /// PlanetLab topology path synthesis (`netsim::planetlab`).
 pub const PATH: u64 = 0x5041_5448;

@@ -1,8 +1,7 @@
 //! The daemon's wall clock, behind the `ices_obs::Clock` trait.
 //!
-//! `ices-obs` owns the trait and knows only ticks; `crates/bench` has a
-//! `WallClock` for timing experiments; this is the service's equivalent.
-//! Everything downstream of [`crate::ServiceCore`] sees time only as
+//! `ices-obs` owns the trait and knows only ticks; this is the
+//! workspace's one wall-clock impl of it. Everything downstream of [`crate::ServiceCore`] sees time only as
 //! the `u64` this clock produced — swap in `ices_obs::TickClock` and
 //! the whole protocol logic runs under simulated time in tests.
 
